@@ -273,13 +273,17 @@ benchMain(int argc, char **argv)
         std::fprintf(stderr,
                      "batch: %zu points (%llu simulated, %llu disk "
                      "hits, %llu memory hits), %llu compiles (%llu "
-                     "module-cache hits), jobs=%u\n",
+                     "module-cache hits), %llu streams recorded, "
+                     "%llu replayed, %llu interpreted, jobs=%u\n",
                      points.size(),
                      (unsigned long long)s.simulated,
                      (unsigned long long)s.diskHits,
                      (unsigned long long)s.memoryHits,
                      (unsigned long long)s.modulesCompiled,
                      (unsigned long long)s.moduleCacheHits,
+                     (unsigned long long)s.streamsRecorded,
+                     (unsigned long long)s.replayedRuns,
+                     (unsigned long long)s.interpretedRuns,
                      jobs != 0 ? jobs
                                : std::max(
                                      1u,

@@ -10,7 +10,11 @@ namespace {
 
 using interp::CommitKind;
 
-/** Records every commit, flattening boundary snapshots. */
+/**
+ * Records every commit, flattening boundary snapshots and collapsing
+ * runs of constant-cost single-commit steps into batch ops as they
+ * arrive (one pass, no uncompacted intermediate).
+ */
 class StreamRecordSink final : public interp::CommitSink
 {
   public:
@@ -19,33 +23,62 @@ class StreamRecordSink final : public interp::CommitSink
     void
     onCommit(const interp::CommitInfo &info) override
     {
+        ++stream_.commits;
+        const bool new_step = newStep_;
+        newStep_ = false;
+        // A held CallRet's step was a single commit iff this commit
+        // starts the next step; only then is its cost a fixed 2.
+        if (pending_) {
+            pending_ = false;
+            if (new_step)
+                appendBatch(CommitStream::kBatch2);
+            else
+                stream_.ops.push_back(pendingOp_);
+        }
+        if (new_step && (info.kind == CommitKind::Alu ||
+                         info.kind == CommitKind::Branch)) {
+            appendBatch(CommitStream::kBatch1);
+            return;
+        }
+
         CommitStream::Op op;
         op.addr = info.addr;
         op.value = info.storeValue;
         op.func = info.func;
         op.kind = static_cast<std::uint8_t>(info.kind);
-        if (newStep_) {
+        if (new_step)
             op.flags |= CommitStream::kFlagNewStep;
-            newStep_ = false;
-        }
         if (info.isCheckpoint)
             op.flags |= CommitStream::kFlagCkpt;
+        // A Call followed by argument spills shares its step with them
+        // and cannot batch; a bare CallRet (Ret / spill-free Call) can.
+        // Which one this is shows with the next commit.
+        if (new_step && info.kind == CommitKind::CallRet) {
+            pendingOp_ = op;
+            pending_ = true;
+            return;
+        }
         if (info.kind == CommitKind::Boundary) {
             op.aux = info.staticRegion;
             // Same snapshot RecordingSink takes: rewound to re-commit
             // the boundary instruction on resume.
-            interp::ControlSnapshot snap = interp_->snapshot();
             CommitStream::SnapRef ref;
-            ref.begin = static_cast<std::uint32_t>(
-                stream_.frames.size());
-            ref.count = static_cast<std::uint32_t>(snap.frames.size());
-            stream_.frames.insert(stream_.frames.end(),
-                                  snap.frames.begin(),
-                                  snap.frames.end());
+            ref.begin = static_cast<std::uint32_t>(stream_.frames.size());
+            interp_->appendSnapshot(stream_.frames);
+            ref.count = static_cast<std::uint32_t>(stream_.frames.size() -
+                                                   ref.begin);
             stream_.snapRefs.push_back(ref);
         }
         stream_.ops.push_back(op);
-        ++stream_.commits;
+    }
+
+    /** End of stream: a held CallRet was its step's only commit. */
+    void
+    finish()
+    {
+        if (pending_)
+            appendBatch(CommitStream::kBatch2);
+        pending_ = false;
     }
 
     void setInterpreter(interp::Interpreter *interp) { interp_ = interp; }
@@ -55,60 +88,24 @@ class StreamRecordSink final : public interp::CommitSink
     CommitStream &stream_;
     interp::Interpreter *interp_ = nullptr;
     bool newStep_ = false;
-};
+    bool pending_ = false;
+    CommitStream::Op pendingOp_;
 
-/** True when @p op is a whole one-commit step of fixed cost 1 or 2. */
-bool
-batchClass(const CommitStream::Op &op, bool single_commit_step,
-           std::uint8_t &kind_out)
-{
-    if (!(op.flags & CommitStream::kFlagNewStep))
-        return false;
-    auto k = static_cast<CommitKind>(op.kind);
-    if (k == CommitKind::Alu || k == CommitKind::Branch) {
-        kind_out = CommitStream::kBatch1;
-        return true;
-    }
-    // A Call followed by argument spills shares its step with them
-    // and cannot batch; a bare CallRet (Ret / spill-free Call) can.
-    if (k == CommitKind::CallRet && single_commit_step) {
-        kind_out = CommitStream::kBatch2;
-        return true;
-    }
-    return false;
-}
-
-/** Collapse runs of constant-cost single-commit steps into batches. */
-void
-compact(CommitStream &stream)
-{
-    std::vector<CommitStream::Op> out;
-    out.reserve(stream.ops.size() / 2 + 16);
-    for (std::size_t i = 0; i < stream.ops.size(); ++i) {
-        const CommitStream::Op &op = stream.ops[i];
-        bool single =
-            i + 1 == stream.ops.size() ||
-            (stream.ops[i + 1].flags & CommitStream::kFlagNewStep);
-        std::uint8_t bk;
-        if (batchClass(op, single, bk)) {
-            if (!out.empty() && out.back().kind == bk) {
-                ++out.back().aux;
-            } else {
-                CommitStream::Op b;
-                b.kind = bk;
-                b.flags = CommitStream::kFlagNewStep;
-                b.aux = 1;
-                out.push_back(b);
-            }
-            continue;
+    /** Extend the trailing batch of kind @p bk, or start one. */
+    void
+    appendBatch(std::uint8_t bk)
+    {
+        if (!stream_.ops.empty() && stream_.ops.back().kind == bk) {
+            ++stream_.ops.back().aux;
+            return;
         }
-        out.push_back(op);
+        CommitStream::Op b;
+        b.kind = bk;
+        b.flags = CommitStream::kFlagNewStep;
+        b.aux = 1;
+        stream_.ops.push_back(b);
     }
-    stream.ops = std::move(out);
-    stream.ops.shrink_to_fit();
-    stream.frames.shrink_to_fit();
-    stream.snapRefs.shrink_to_fit();
-}
+};
 
 } // namespace
 
@@ -123,11 +120,12 @@ recordCommitStream(const ir::Module &module, const std::string &entry,
     stream.entry = entry;
     stream.args = args;
     if (expected_instrs != 0) {
-        // Commits run slightly above steps (spills, fused boundary
-        // commits); cap so an inflated hint cannot balloon memory.
+        // Batching leaves about 0.4 ops per step (memory, boundary and
+        // spill commits stay explicit); cap so an inflated hint cannot
+        // balloon memory.
         constexpr std::uint64_t kMaxOpReserve = std::uint64_t{1} << 22;
         stream.ops.reserve(static_cast<std::size_t>(std::min(
-            expected_instrs + expected_instrs / 2, kMaxOpReserve)));
+            expected_instrs * 2 / 5, kMaxOpReserve)));
     }
 
     interp::SparseMemory memory;
@@ -145,9 +143,12 @@ recordCommitStream(const ir::Module &module, const std::string &entry,
             cwsp_fatal("instruction budget exceeded (", max_instrs,
                        ") while recording ", entry);
     }
+    sink.finish();
     stream.returnValue = interp.returnValue();
 
-    compact(stream);
+    stream.ops.shrink_to_fit();
+    stream.frames.shrink_to_fit();
+    stream.snapRefs.shrink_to_fit();
     return stream;
 }
 

@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <unistd.h>
 
@@ -146,6 +148,16 @@ resolveStreamCacheBytes(const BatchConfig &config)
     return mb * std::size_t{1024} * 1024;
 }
 
+/** Stream-cache key: the program a point runs, whatever its hardware. */
+std::string
+streamKey(const workloads::AppProfile &app,
+          const compiler::CompilerOptions &options,
+          const std::string &entry)
+{
+    return workloads::profileKey(app) + "|" +
+           core::compilerOptionsKey(options) + "|entry=" + entry;
+}
+
 /**
  * Per-worker allocation arena for the simulator's hierarchy/scheme
  * state. compute() runs one simulation at a time per thread, so the
@@ -191,6 +203,7 @@ struct BatchRunner::Impl
     std::atomic<std::uint64_t> streamsRecorded{0};
     std::atomic<std::uint64_t> streamCacheHits{0};
     std::atomic<std::uint64_t> replayedRuns{0};
+    std::atomic<std::uint64_t> interpretedRuns{0};
 
     std::mutex violationsMu;
     std::vector<obs::InvariantViolation> violations;
@@ -361,9 +374,7 @@ BatchRunner::streamFor(const workloads::AppProfile &app,
                        std::uint64_t max_instrs,
                        std::shared_ptr<const ir::Module> mod)
 {
-    std::string key = workloads::profileKey(app) + "|" +
-                      core::compilerOptionsKey(options) +
-                      "|entry=" + entry;
+    const std::string key = streamKey(app, options, entry);
     std::promise<std::shared_ptr<const core::CommitStream>> promise;
     std::shared_future<std::shared_ptr<const core::CommitStream>> fut;
     bool owner = false;
@@ -424,7 +435,8 @@ BatchRunner::streamFor(const workloads::AppProfile &app,
 }
 
 core::RunResult
-BatchRunner::compute(const DesignPoint &point, const std::string &key)
+BatchRunner::compute(const DesignPoint &point, const std::string &key,
+                     bool replay)
 {
     // An invariant-checking batch must observe the event stream, so
     // a disk-cached result (which skips the simulation) is useless
@@ -443,16 +455,14 @@ BatchRunner::compute(const DesignPoint &point, const std::string &key)
     if (config_.checkInvariants)
         sim.attachTraceSink(&monitor);
     core::RunResult r;
-    std::shared_ptr<const core::CommitStream> stream;
-    if (config_.useStreamReplay) {
-        stream = streamFor(point.app, point.config.compiler,
-                           point.entry, point.maxInstrs, mod);
-    }
-    if (stream) {
+    if (replay) {
+        auto stream = streamFor(point.app, point.config.compiler,
+                                point.entry, point.maxInstrs, mod);
         r = sim.runReplay(*stream, point.maxInstrs);
         impl_->replayedRuns.fetch_add(1, std::memory_order_relaxed);
     } else {
         r = sim.run(point.entry, {}, point.maxInstrs);
+        impl_->interpretedRuns.fetch_add(1, std::memory_order_relaxed);
     }
     impl_->simulated.fetch_add(1, std::memory_order_relaxed);
 
@@ -512,7 +522,13 @@ BatchRunner::exportAggregateJson(std::ostream &os) const
 core::RunResult
 BatchRunner::run(const DesignPoint &point)
 {
-    const std::string key = pointKey(point);
+    return runPoint(point, pointKey(point), false);
+}
+
+core::RunResult
+BatchRunner::runPoint(const DesignPoint &point, const std::string &key,
+                      bool replay)
+{
     std::promise<core::RunResult> promise;
     std::shared_future<core::RunResult> fut;
     bool owner = false;
@@ -540,7 +556,7 @@ BatchRunner::run(const DesignPoint &point)
         return fut.get();
 
     try {
-        core::RunResult r = compute(point, key);
+        core::RunResult r = compute(point, key, replay);
         {
             std::lock_guard<std::mutex> lk(impl_->resultsMu);
             impl_->results.emplace(key, r);
@@ -565,46 +581,33 @@ BatchRunner::runAll(const std::vector<DesignPoint> &points)
     if (points.empty())
         return out;
 
-    std::size_t jobs =
-        config_.jobs != 0
-            ? config_.jobs
-            : std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min(jobs, points.size());
-
-    if (jobs <= 1) {
+    // Plan: replay a program only when enough distinct points of this
+    // batch share its stream to repay the recording.
+    std::vector<std::string> keys(points.size());
+    std::vector<bool> replay(points.size(), false);
+    for (std::size_t i = 0; i < points.size(); ++i)
+        keys[i] = pointKey(points[i]);
+    if (config_.useStreamReplay) {
+        std::vector<std::string> programs(points.size());
+        std::map<std::string_view, std::set<std::string_view>> users;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            programs[i] = streamKey(points[i].app,
+                                    points[i].config.compiler,
+                                    points[i].entry);
+            users[programs[i]].insert(keys[i]);
+        }
         for (std::size_t i = 0; i < points.size(); ++i)
-            out[i] = run(points[i]);
-        return out;
+            replay[i] = users.at(programs[i]).size() >= kMinStreamUsers;
     }
 
-    std::atomic<std::size_t> next{0};
-    std::mutex errMu;
-    std::exception_ptr firstError;
-    auto worker = [&]() {
-        while (true) {
-            std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= points.size())
-                return;
-            try {
-                out[i] = run(points[i]);
-            } catch (...) {
-                std::lock_guard<std::mutex> lk(errMu);
-                if (!firstError)
-                    firstError = std::current_exception();
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t t = 0; t < jobs; ++t)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
-
-    if (firstError)
-        std::rethrow_exception(firstError);
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        tasks.push_back([&, i]() {
+            out[i] = runPoint(points[i], keys[i], replay[i]);
+        });
+    }
+    runTasks(tasks);
     return out;
 }
 
@@ -668,6 +671,7 @@ BatchRunner::stats() const
     s.streamsRecorded = impl_->streamsRecorded.load();
     s.streamCacheHits = impl_->streamCacheHits.load();
     s.replayedRuns = impl_->replayedRuns.load();
+    s.interpretedRuns = impl_->interpretedRuns.load();
     s.invariantEventsChecked = impl_->invariantEvents.load();
     s.invariantViolations = impl_->violationCount.load();
     auto ck = impl_->ckptCache->stats();

@@ -57,6 +57,18 @@ namespace cwsp::driver {
  */
 inline constexpr const char *kResultCacheVersion = "cwsp-results-v1";
 
+/**
+ * Fewest distinct design points of one runAll() batch that must share
+ * a program (module + entry) before its commit stream is recorded and
+ * replayed rather than each point interpreted. Measured single-
+ * threaded over the 38-app roster (Release, host ns per committed
+ * instruction): recording R ~ 50, interpreted run() I ~ 60, runReplay
+ * P ~ 38. A stream for n points costs R + n*P against n*I, so it pays
+ * once n > R / (I - P) ~ 2.3: at n = 2 the stream loses, at n = 3 it
+ * wins.
+ */
+inline constexpr std::size_t kMinStreamUsers = 3;
+
 /** One unit of work: run @p app under @p config to completion. */
 struct DesignPoint
 {
@@ -91,12 +103,14 @@ struct BatchConfig
      */
     bool checkInvariants = false;
     /**
-     * Record each (module, entry) commit stream once and drive every
-     * simulation of it from the stream instead of the interpreter
-     * (results, stats, and traces are bit-identical — the disk cache
-     * stays valid either way). Costs one functional run per distinct
-     * program; pays off as soon as a program is simulated under a
-     * second design point, which every sweep does.
+     * Let runAll() drive a program's simulations from a recorded
+     * commit stream instead of the interpreter when at least
+     * kMinStreamUsers distinct points of the batch run that program
+     * (results, stats, and traces are bit-identical either way — the
+     * disk cache stays valid). A recording costs more than two
+     * replays save over interpreting, so a stream shared by fewer
+     * points is slower than interpreting them; those points, and
+     * every lone run(), interpret.
      */
     bool useStreamReplay = true;
     /**
@@ -125,6 +139,7 @@ struct BatchStats
     std::uint64_t streamsRecorded = 0;  ///< commit streams compiled
     std::uint64_t streamCacheHits = 0;
     std::uint64_t replayedRuns = 0;     ///< sims driven from a stream
+    std::uint64_t interpretedRuns = 0;  ///< sims run by the interpreter
     std::uint64_t invariantEventsChecked = 0;
     std::uint64_t invariantViolations = 0;
     std::uint64_t ckptCaptures = 0;  ///< simulator checkpoints taken
@@ -145,14 +160,18 @@ class BatchRunner
 
     /**
      * Evaluate one design point through the cache stack (thread-safe;
-     * concurrent identical points are computed once).
+     * concurrent identical points are computed once). A lone point
+     * is a batch of one, so it interprets.
      */
     core::RunResult run(const DesignPoint &point);
 
     /**
      * Evaluate @p points across the worker pool. Results are returned
      * in input order and are bit-identical to calling run() on each
-     * point sequentially, for any jobs count.
+     * point sequentially, for any jobs count. Before dispatching,
+     * the batch is planned: a program shared by at least
+     * kMinStreamUsers distinct points is recorded once and replayed
+     * for each of them; every other point interprets.
      */
     std::vector<core::RunResult>
     runAll(const std::vector<DesignPoint> &points);
@@ -181,8 +200,7 @@ class BatchRunner
      * stream once, then share it read-only across every design point
      * that simulates the same program (thread-safe, in-flight
      * de-duplicated, LRU-bounded by BatchConfig::streamCacheMb).
-     */
-    /**
+     *
      * @param mod the already-resolved module for (app, options), if
      * the caller holds one; null falls back to moduleFor().
      */
@@ -241,8 +259,11 @@ class BatchRunner
     std::string cacheDir_; ///< resolved from config/env
     StatsRegistry aggregate_; ///< merged per-sim stats (mutex inside)
 
+    /** run() with the key precomputed and the replay plan decided. */
+    core::RunResult runPoint(const DesignPoint &point,
+                             const std::string &key, bool replay);
     core::RunResult compute(const DesignPoint &point,
-                            const std::string &key);
+                            const std::string &key, bool replay);
     bool loadFromDisk(const std::string &key,
                       core::RunResult &out) const;
     void storeToDisk(const std::string &key,

@@ -300,15 +300,20 @@ ControlSnapshot
 Interpreter::snapshot() const
 {
     ControlSnapshot snap;
-    snap.frames = frames_;
+    appendSnapshot(snap.frames);
+    return snap;
+}
+
+void
+Interpreter::appendSnapshot(std::vector<Frame> &out) const
+{
     // Rewind the top frame so resumption re-commits the current
     // (boundary) instruction: step() advanced index before the sink
     // callback ran.
-    cwsp_assert(!snap.frames.empty(), "snapshot with no frames");
-    Frame &top = snap.frames.back();
-    cwsp_assert(top.index > 0, "snapshot not inside a block");
-    --top.index;
-    return snap;
+    cwsp_assert(!frames_.empty(), "snapshot with no frames");
+    cwsp_assert(frames_.back().index > 0, "snapshot not inside a block");
+    out.insert(out.end(), frames_.begin(), frames_.end());
+    --out.back().index;
 }
 
 ControlSnapshot

@@ -62,6 +62,13 @@ class Interpreter
     ControlSnapshot snapshot() const;
 
     /**
+     * Append the frames snapshot() would return to @p out, without a
+     * temporary ControlSnapshot (commit-stream recording flattens
+     * every boundary's snapshot into one Frame vector).
+     */
+    void appendSnapshot(std::vector<Frame> &out) const;
+
+    /**
      * Snapshot the control state between steps, with no index rewind:
      * resumption continues at the next unexecuted instruction. Used
      * for battery-backed schemes whose residual energy persists the

@@ -3,7 +3,9 @@
  * The parallel batch simulation engine: parallel-vs-sequential
  * determinism, compiled-module sharing, in-flight de-duplication,
  * the persistent on-disk result cache (hit/miss, version-stamp
- * invalidation, collision safety), and the bench helpers layered on
+ * invalidation, collision safety), the batch plan that picks
+ * commit-stream replay or interpretation per point, the single-pass
+ * commit-stream recorder's batching, and the bench helpers layered on
  * top (gmean edge cases).
  */
 
@@ -16,8 +18,10 @@
 
 #include "bench_util.hh"
 #include "core/config.hh"
+#include "core/commit_stream.hh"
 #include "core/config_serial.hh"
 #include "driver/batch_runner.hh"
+#include "ir/builder.hh"
 #include "workloads/workload.hh"
 
 using namespace cwsp;
@@ -91,6 +95,19 @@ crossProduct()
             points.push_back(driver::DesignPoint{
                 app, core::makeSystemConfig(scheme)});
         }
+    }
+    return points;
+}
+
+/** @p n points running one program under different PB capacities. */
+std::vector<driver::DesignPoint>
+hardwareVariants(const workloads::AppProfile &app, std::uint32_t n)
+{
+    std::vector<driver::DesignPoint> points;
+    for (std::uint32_t k = 0; k < n; ++k) {
+        auto cfg = core::makeSystemConfig("cwsp");
+        cfg.scheme.pbCapacity = 10 + 10 * k;
+        points.push_back(driver::DesignPoint{app, cfg});
     }
     return points;
 }
@@ -286,4 +303,202 @@ TEST(BenchUtil, GmeanOfEmptyBucketIsNaNNotZero)
     EXPECT_TRUE(std::isnan(bench::gmean({})));
     EXPECT_DOUBLE_EQ(bench::gmean({2.0, 8.0}), 4.0);
     EXPECT_DOUBLE_EQ(bench::gmean({3.0}), 3.0);
+}
+
+TEST(BatchPlan, StreamRecordedOnlyWhenThreePointsShareIt)
+{
+    static_assert(driver::kMinStreamUsers == 3);
+    {
+        driver::BatchRunner runner(memOnly(2));
+        runner.runAll(hardwareVariants(tinyApp("t-pair", 60), 2));
+        auto st = runner.stats();
+        EXPECT_EQ(st.simulated, 2u);
+        EXPECT_EQ(st.streamsRecorded, 0u);
+        EXPECT_EQ(st.replayedRuns, 0u);
+        EXPECT_EQ(st.interpretedRuns, 2u);
+    }
+    {
+        driver::BatchRunner runner(memOnly(2));
+        runner.runAll(hardwareVariants(tinyApp("t-trio", 60), 3));
+        auto st = runner.stats();
+        EXPECT_EQ(st.simulated, 3u);
+        EXPECT_EQ(st.streamsRecorded, 1u);
+        EXPECT_EQ(st.replayedRuns, 3u);
+        EXPECT_EQ(st.interpretedRuns, 0u);
+    }
+}
+
+TEST(BatchPlan, DuplicatePointsDoNotCountAsUsers)
+{
+    // Two distinct points, each submitted three times: six entries,
+    // but only two simulations could ever use the stream.
+    auto pair = hardwareVariants(tinyApp("t-dups", 60), 2);
+    std::vector<driver::DesignPoint> points;
+    for (int rep = 0; rep < 3; ++rep)
+        points.insert(points.end(), pair.begin(), pair.end());
+
+    driver::BatchRunner runner(memOnly(1));
+    runner.runAll(points);
+    auto st = runner.stats();
+    EXPECT_EQ(st.simulated, 2u);
+    EXPECT_EQ(st.memoryHits, 4u);
+    EXPECT_EQ(st.streamsRecorded, 0u);
+    EXPECT_EQ(st.interpretedRuns, 2u);
+}
+
+TEST(BatchPlan, PlannedBatchMatchesInterpretationBitExactly)
+{
+    // t-wide runs each scheme under three PB capacities, so every one
+    // of its programs replays; t-narrow runs each scheme once, so its
+    // programs mostly interpret. Both sources must agree exactly with
+    // a replay-free runner.
+    std::vector<driver::DesignPoint> points;
+    for (const char *scheme : {"baseline", "cwsp", "capri", "ido",
+                               "replaycache", "psp"}) {
+        for (std::uint32_t pb : {0u, 5u, 10u}) {
+            auto cfg = core::makeSystemConfig(scheme);
+            cfg.scheme.pbCapacity += pb;
+            points.push_back(
+                driver::DesignPoint{tinyApp("t-wide", 70), cfg});
+        }
+        points.push_back(driver::DesignPoint{
+            tinyApp("t-narrow", 90), core::makeSystemConfig(scheme)});
+    }
+
+    auto noReplay = memOnly(1);
+    noReplay.useStreamReplay = false;
+    driver::BatchRunner reference(noReplay);
+    auto expected = reference.runAll(points);
+    auto rst = reference.stats();
+    EXPECT_EQ(rst.streamsRecorded, 0u);
+    EXPECT_EQ(rst.interpretedRuns, rst.simulated);
+
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        driver::BatchRunner runner(memOnly(jobs));
+        auto got = runner.runAll(points);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            SCOPED_TRACE(points[i].app.name + "/" +
+                         points[i].config.scheme.name);
+            expectSameResult(expected[i], got[i]);
+        }
+        auto st = runner.stats();
+        EXPECT_GT(st.replayedRuns, 0u);
+        EXPECT_GT(st.interpretedRuns, 0u);
+        EXPECT_EQ(st.simulated, st.replayedRuns + st.interpretedRuns);
+    }
+}
+
+TEST(BatchPlan, LoneRunInterprets)
+{
+    driver::BatchRunner runner(memOnly(1));
+    for (const auto &point : hardwareVariants(tinyApp("t-lone", 60), 3))
+        runner.run(point);
+    auto st = runner.stats();
+    EXPECT_EQ(st.simulated, 3u);
+    EXPECT_EQ(st.interpretedRuns, 3u);
+    EXPECT_EQ(st.streamsRecorded, 0u);
+}
+
+TEST(CommitStreamRecorder, BatchesConstantCostStepsInOnePass)
+{
+    using core::CommitStream;
+    ir::Module m;
+    m.addGlobal("out", 64);
+    m.layoutMemory();
+    auto &square = m.addFunction("square", 1);
+    {
+        ir::IRBuilder b(square);
+        b.setBlock(b.newBlock());
+        b.mul(1, 0, 0);
+        b.ret(1);
+    }
+    auto &outer = m.addFunction("outer", 0);
+    {
+        ir::IRBuilder b(outer);
+        b.setBlock(b.newBlock());
+        b.movImm(0, 7);
+        b.call(1, square.id(), {0}); // spills its argument
+        b.ret(1);
+    }
+    auto &main_fn = m.addFunction("main", 0);
+    {
+        ir::IRBuilder b(main_fn);
+        b.setBlock(b.newBlock());
+        b.movImm(5, static_cast<std::int64_t>(m.global("out").base));
+        b.call(3, outer.id(), {}); // spill-free: a bare CallRet
+        b.store(3, 5);
+        b.addImm(3, 3, 1);
+        b.ret(3);
+    }
+
+    auto s = core::recordCommitStream(m, "main", {});
+    EXPECT_EQ(s.returnValue, 50u);
+    EXPECT_EQ(s.steps, 10u);
+    EXPECT_EQ(s.commits, 11u); // ten steps plus one argument spill
+
+    struct Want
+    {
+        std::uint8_t kind;
+        std::uint8_t flags;
+        std::uint32_t aux;
+    };
+    constexpr auto kNew = CommitStream::kFlagNewStep;
+    constexpr auto kB1 = CommitStream::kBatch1;
+    constexpr auto kB2 = CommitStream::kBatch2;
+    const auto callRet =
+        static_cast<std::uint8_t>(interp::CommitKind::CallRet);
+    const auto store = static_cast<std::uint8_t>(interp::CommitKind::Store);
+    const std::vector<Want> want = {
+        {kB1, kNew, 1},     // movi
+        {kB2, kNew, 1},     // call outer: next commit starts a step
+        {kB1, kNew, 1},     // movi
+        {callRet, kNew, 0}, // call square shares its step with...
+        {store, CommitStream::kFlagCkpt, 0}, // ...the argument spill
+        {kB1, kNew, 1},     // mul
+        {kB2, kNew, 2},     // ret square, ret outer: merged batch
+        {store, kNew, 0},   // st
+        {kB1, kNew, 1},     // addi
+        {kB2, kNew, 1},     // trailing ret main: flushed at stream end
+    };
+    ASSERT_EQ(s.ops.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE("op " + std::to_string(i));
+        EXPECT_EQ(s.ops[i].kind, want[i].kind);
+        EXPECT_EQ(s.ops[i].flags, want[i].flags);
+        EXPECT_EQ(s.ops[i].aux, want[i].aux);
+    }
+    EXPECT_TRUE(s.snapRefs.empty());
+    EXPECT_TRUE(s.frames.empty());
+}
+
+TEST(CommitStreamRecorder, SnapshotsLineUpWithBoundaryOps)
+{
+    auto app = tinyApp("t-snap", 40);
+    auto mod = workloads::buildApp(app, core::makeSystemConfig("cwsp").compiler);
+    auto s = core::recordCommitStream(*mod, "main", {});
+
+    std::size_t k = 0;
+    std::uint32_t next = 0;
+    for (const auto &op : s.ops) {
+        if (op.kind != static_cast<std::uint8_t>(interp::CommitKind::Boundary))
+            continue;
+        ASSERT_LT(k, s.snapRefs.size());
+        const auto &ref = s.snapRefs[k++];
+        EXPECT_EQ(ref.begin, next);
+        ASSERT_GE(ref.count, 1u);
+        next = ref.begin + ref.count;
+        ASSERT_LE(next, s.frames.size());
+        // The top frame resumes at this very boundary instruction.
+        const interp::Frame &top = s.frames[next - 1];
+        const auto &instrs =
+            mod->function(top.func).block(top.block).instrs();
+        ASSERT_LT(top.index, instrs.size());
+        EXPECT_EQ(instrs[top.index].op, ir::Opcode::RegionBoundary);
+        EXPECT_EQ(static_cast<std::uint32_t>(instrs[top.index].imm), op.aux);
+    }
+    EXPECT_GT(k, 0u);
+    EXPECT_EQ(k, s.snapRefs.size());
+    EXPECT_EQ(next, s.frames.size());
 }

@@ -183,12 +183,16 @@ runBatch(const std::vector<workloads::AppProfile> &apps,
     std::fprintf(stderr,
                  "batch: %zu points, %llu simulated, %llu disk hits, "
                  "%llu memory hits, %llu compiles (%llu module-cache "
-                 "hits)\n",
+                 "hits), %llu streams recorded, %llu replayed, %llu "
+                 "interpreted\n",
                  points.size(), (unsigned long long)st.simulated,
                  (unsigned long long)st.diskHits,
                  (unsigned long long)st.memoryHits,
                  (unsigned long long)st.modulesCompiled,
-                 (unsigned long long)st.moduleCacheHits);
+                 (unsigned long long)st.moduleCacheHits,
+                 (unsigned long long)st.streamsRecorded,
+                 (unsigned long long)st.replayedRuns,
+                 (unsigned long long)st.interpretedRuns);
 
     if (!stats_json.empty()) {
         writeJsonOutput(stats_json, [&runner](std::ostream &os) {
