@@ -9,19 +9,17 @@ checkGlobals(const ir::Module &module,
 {
     CheckResult result;
     for (const auto &g : module.globals()) {
-        for (Addr a = g.base; a < g.base + g.sizeBytes;
-             a += kWordBytes) {
-            Word e = expected.read(a);
-            Word v = actual.read(a);
-            if (e != v) {
+        expected.diffRange(
+            actual, g.base, g.base + g.sizeBytes,
+            [&](Addr a, Word e, Word v) {
                 result.consistent = false;
                 ++result.totalDivergences;
                 if (result.divergences.size() < 16) {
                     result.divergences.push_back(
                         Divergence{a, e, v, g.name});
                 }
-            }
-        }
+                return true;
+            });
     }
     return result;
 }

@@ -42,7 +42,9 @@ struct CheckResult
 /**
  * Compare @p actual to @p expected over every global of @p module
  * (the program-visible durable state). Stack, checkpoint slots, and
- * log areas are scratch and excluded.
+ * log areas are scratch and excluded. Compares page by page
+ * (SparseMemory::diffRange) and never writes either image's page
+ * cache, so one @p expected may serve concurrent checks.
  */
 CheckResult checkGlobals(const ir::Module &module,
                          const interp::SparseMemory &expected,

@@ -754,6 +754,7 @@ runCampaign(const CampaignOptions &options)
     // the pool; results land by index, so the report's order is
     // independent of the jobs count.
     CampaignReport report;
+    report.interleaveSeed = options.interleaveSeed;
     std::vector<const Context *> caseCtx;
     for (const auto &ctx : contexts) {
         auto cs = casesFor(ctx, options);
@@ -891,6 +892,7 @@ CampaignReport::writeJson(std::ostream &os) const
        << ",\n  \"cases_passed\": " << casesPassed
        << ",\n  \"failure_count\": " << failures.size()
        << ",\n  \"shrink_runs\": " << shrinkRuns
+       << ",\n  \"interleave_seed\": \"" << interleaveSeed << "\""
        << ",\n  \"totals\": ";
     writeFaultStatsJson(os, totals);
     os << ",\n  \"checkpoint_cache\": {\"enabled\": "

@@ -246,6 +246,12 @@ struct CampaignReport
     std::size_t casesRun = 0;
     std::size_t casesPassed = 0;
     std::size_t shrinkRuns = 0; ///< extra runs the shrinker spent
+    /**
+     * CampaignOptions::interleaveSeed: with a case's ilvIndex it names
+     * the case's schedule, so a repro replays from the report. Written
+     * as a JSON string, since it can exceed 2^53.
+     */
+    std::uint64_t interleaveSeed = 1;
     CkptCacheReport ckptCache;  ///< forked-mode cache behaviour
     /** Per-scheme recovery aggregates, campaign scheme order. */
     std::vector<SchemeRecoveryStats> recovery;

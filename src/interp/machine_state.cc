@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -22,6 +24,49 @@ mixPageId(std::uint64_t id)
 
 } // namespace
 
+SparseMemory::SparseMemory(const SparseMemory &other)
+    : dirKeys_(other.dirKeys_), dirVals_(other.dirVals_)
+{
+    if (other.numPages_ == 0)
+        return;
+    addSlab(other.numPages_);
+    for (std::size_t i = 0; i < other.numPages_; ++i)
+        *pages_[i] = *other.pages_[i];
+    numPages_ = other.numPages_;
+}
+
+SparseMemory::SparseMemory(SparseMemory &&other) noexcept
+    : slabs_(std::exchange(other.slabs_, {})),
+      pages_(std::exchange(other.pages_, {})),
+      numPages_(std::exchange(other.numPages_, 0)),
+      dirKeys_(std::exchange(other.dirKeys_, {})),
+      dirVals_(std::exchange(other.dirVals_, {})),
+      mru_(std::exchange(other.mru_, nullptr))
+{
+}
+
+SparseMemory &
+SparseMemory::operator=(const SparseMemory &other)
+{
+    if (this != &other)
+        *this = SparseMemory(other);
+    return *this;
+}
+
+SparseMemory &
+SparseMemory::operator=(SparseMemory &&other) noexcept
+{
+    if (this != &other) {
+        slabs_ = std::exchange(other.slabs_, {});
+        pages_ = std::exchange(other.pages_, {});
+        numPages_ = std::exchange(other.numPages_, 0);
+        dirKeys_ = std::exchange(other.dirKeys_, {});
+        dirVals_ = std::exchange(other.dirVals_, {});
+        mru_ = std::exchange(other.mru_, nullptr);
+    }
+    return *this;
+}
+
 std::size_t
 SparseMemory::dirSlot(std::uint64_t page_id) const
 {
@@ -32,46 +77,68 @@ SparseMemory::dirSlot(std::uint64_t page_id) const
     return i;
 }
 
+SparseMemory::Page *
+SparseMemory::lookup(std::uint64_t page_id) const
+{
+    if (dirKeys_.empty())
+        return nullptr;
+    std::uint32_t v = dirVals_[dirSlot(page_id)];
+    return v == 0 ? nullptr : pages_[v - 1];
+}
+
 const SparseMemory::Page *
 SparseMemory::findPage(std::uint64_t page_id) const
 {
-    if (lastIdx_ != ~0u && pages_[lastIdx_].id == page_id)
-        return &pages_[lastIdx_];
-    if (dirKeys_.empty())
-        return nullptr;
-    std::size_t i = dirSlot(page_id);
-    if (dirVals_[i] == 0)
-        return nullptr;
-    lastIdx_ = dirVals_[i] - 1;
-    return &pages_[lastIdx_];
+    if (mru_ && mru_->id == page_id)
+        return mru_;
+    Page *p = lookup(page_id);
+    if (p)
+        mru_ = p;
+    return p;
+}
+
+void
+SparseMemory::addSlab(std::size_t num_pages)
+{
+    slabs_.push_back(std::make_unique_for_overwrite<Page[]>(num_pages));
+    Page *slab = slabs_.back().get();
+    for (std::size_t i = 0; i < num_pages; ++i)
+        pages_.push_back(slab + i);
+}
+
+SparseMemory::Page &
+SparseMemory::carvePage(std::uint64_t page_id)
+{
+    if (numPages_ == pages_.size())
+        addSlab(std::clamp<std::size_t>(pages_.size(), 1, kMaxSlabPages));
+    Page &p = *pages_[numPages_++];
+    p.words.fill(0);
+    p.present.fill(0);
+    p.id = page_id;
+    return p;
 }
 
 SparseMemory::Page &
 SparseMemory::getPage(std::uint64_t page_id)
 {
-    if (lastIdx_ != ~0u && pages_[lastIdx_].id == page_id)
-        return pages_[lastIdx_];
+    if (mru_ && mru_->id == page_id)
+        return *mru_;
     if (dirKeys_.empty()) {
         dirKeys_.assign(64, kNoPage);
         dirVals_.assign(64, 0);
     }
     std::size_t i = dirSlot(page_id);
     if (dirVals_[i] == 0) {
-        if ((pages_.size() + 1) * 10 > dirKeys_.size() * 7) {
+        if ((numPages_ + 1) * 10 > dirKeys_.size() * 7) {
             growDirectory();
             i = dirSlot(page_id);
         }
-        pages_.emplace_back();
-        Page &p = pages_.back();
-        p.words.fill(0);
-        p.present.fill(0);
-        p.id = page_id;
+        carvePage(page_id);
         dirKeys_[i] = page_id;
-        dirVals_[i] =
-            static_cast<std::uint32_t>(pages_.size());
+        dirVals_[i] = static_cast<std::uint32_t>(numPages_);
     }
-    lastIdx_ = dirVals_[i] - 1;
-    return pages_[lastIdx_];
+    mru_ = pages_[dirVals_[i] - 1];
+    return *mru_;
 }
 
 void
@@ -81,11 +148,12 @@ SparseMemory::growDirectory()
     dirKeys_.assign(cap, kNoPage);
     dirVals_.assign(cap, 0);
     std::size_t mask = cap - 1;
-    for (std::size_t idx = 0; idx < pages_.size(); ++idx) {
-        std::size_t i = mixPageId(pages_[idx].id) & mask;
+    for (std::size_t idx = 0; idx < numPages_; ++idx) {
+        std::uint64_t id = pages_[idx]->id;
+        std::size_t i = mixPageId(id) & mask;
         while (dirVals_[i] != 0)
             i = (i + 1) & mask;
-        dirKeys_[i] = pages_[idx].id;
+        dirKeys_[i] = id;
         dirVals_[i] = static_cast<std::uint32_t>(idx + 1);
     }
 }
@@ -115,8 +183,8 @@ std::size_t
 SparseMemory::footprintWords() const
 {
     std::size_t n = 0;
-    for (const Page &p : pages_)
-        for (std::uint64_t bits : p.present)
+    for (std::size_t i = 0; i < numPages_; ++i)
+        for (std::uint64_t bits : pages_[i]->present)
             n += static_cast<std::size_t>(std::popcount(bits));
     return n;
 }
@@ -124,7 +192,9 @@ SparseMemory::footprintWords() const
 std::size_t
 SparseMemory::residentBytes() const
 {
-    return pages_.capacity() * sizeof(Page) +
+    return pages_.size() * sizeof(Page) +
+           pages_.capacity() * sizeof(Page *) +
+           slabs_.capacity() * sizeof(slabs_[0]) +
            dirKeys_.capacity() * sizeof(std::uint64_t) +
            dirVals_.capacity() * sizeof(std::uint32_t);
 }
@@ -132,23 +202,68 @@ SparseMemory::residentBytes() const
 void
 SparseMemory::clear()
 {
-    pages_.clear();
+    numPages_ = 0;
     std::fill(dirKeys_.begin(), dirKeys_.end(), kNoPage);
     std::fill(dirVals_.begin(), dirVals_.end(), 0);
-    lastIdx_ = ~0u;
+    mru_ = nullptr;
 }
 
-std::vector<std::uint32_t>
-SparseMemory::sortedPageIndexes() const
+std::vector<const SparseMemory::Page *>
+SparseMemory::sortedPages() const
 {
-    std::vector<std::uint32_t> idx(pages_.size());
-    for (std::uint32_t i = 0; i < idx.size(); ++i)
-        idx[i] = i;
-    std::sort(idx.begin(), idx.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                  return pages_[a].id < pages_[b].id;
-              });
-    return idx;
+    std::vector<const Page *> sorted(pages_.begin(),
+                                     pages_.begin() + numPages_);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Page *a, const Page *b) { return a->id < b->id; });
+    return sorted;
+}
+
+bool
+SparseMemory::diffPage(const Page *a, const Page *b, std::uint64_t id,
+                       unsigned wlo, unsigned whi,
+                       const DiffVisitor &visit)
+{
+    static constexpr std::array<Word, kPageWords> kZeroWords{};
+    const Word *aw = a ? a->words.data() : kZeroWords.data();
+    const Word *bw = b ? b->words.data() : kZeroWords.data();
+    if (wlo == 0 && whi == kPageWords &&
+        std::memcmp(aw, bw, kPageWords * sizeof(Word)) == 0)
+        return true;
+    const Addr base = id << kPageShift;
+    for (unsigned w = wlo; w < whi; ++w) {
+        if (aw[w] != bw[w] &&
+            !visit(base + w * kWordBytes, aw[w], bw[w]))
+            return false;
+    }
+    return true;
+}
+
+bool
+SparseMemory::diffRange(const SparseMemory &other, Addr lo, Addr hi,
+                        const DiffVisitor &visit) const
+{
+    cwsp_assert((lo & 7) == 0, "misaligned range start at ", lo);
+    if (lo >= hi)
+        return true;
+    // Word numbers [first, end): a word straddling hi is in range.
+    const std::uint64_t first = lo >> 3;
+    const std::uint64_t end = (hi >> 3) + ((hi & 7) != 0);
+    for (std::uint64_t id = first >> kPageWordShift;
+         id <= (end - 1) >> kPageWordShift; ++id) {
+        const Page *a = lookup(id);
+        const Page *b = other.lookup(id);
+        if (!a && !b)
+            continue;
+        const std::uint64_t base = id << kPageWordShift;
+        const unsigned wlo =
+            first > base ? static_cast<unsigned>(first - base) : 0;
+        const unsigned whi =
+            end - base < kPageWords ? static_cast<unsigned>(end - base)
+                                    : kPageWords;
+        if (!diffPage(a, b, id, wlo, whi, visit))
+            return false;
+    }
+    return true;
 }
 
 bool
@@ -157,20 +272,19 @@ SparseMemory::equals(const SparseMemory &other) const
     // Pages absent on one side compare against zeros: present-bitmap
     // differences alone (e.g. an explicitly written zero) are not
     // value differences.
-    auto covered = [](const Page &a, const Page *b) {
-        for (unsigned w = 0; w < kPageWords; ++w) {
-            Word bv = b ? b->words[w] : 0;
-            if (a.words[w] != bv)
-                return false;
-        }
-        return true;
-    };
-    for (const Page &p : pages_)
-        if (!covered(p, other.findPage(p.id)))
+    const DiffVisitor stop = [](Addr, Word, Word) { return false; };
+    for (std::size_t i = 0; i < numPages_; ++i) {
+        const Page *p = pages_[i];
+        if (!diffPage(p, other.lookup(p->id), p->id, 0, kPageWords,
+                      stop))
             return false;
-    for (const Page &p : other.pages_)
-        if (!findPage(p.id) && !covered(p, nullptr))
+    }
+    for (std::size_t i = 0; i < other.numPages_; ++i) {
+        const Page *p = other.pages_[i];
+        if (!lookup(p->id) &&
+            !diffPage(nullptr, p, p->id, 0, kPageWords, stop))
             return false;
+    }
     return true;
 }
 

@@ -69,6 +69,13 @@ for san in "${SANITIZERS[@]}"; do
     # itself exercised under ASan and UBSan.
     "$dir"/tools/cwsp_faultcampaign --apps fft,bzip2 \
           --points 1 --fork --jobs "$JOBS" --quiet
+    echo "== $san: large-image campaign smoke (astar, forked) =="
+    # fft and bzip2 images span a few pages; astar's spans thousands.
+    # Its golden image grows through many slabs, capri's checkpoints
+    # carry a copy of the whole image, and every case's global check
+    # compares thousands of pages, all under the sanitizer.
+    "$dir"/tools/cwsp_faultcampaign --apps astar --schemes cwsp,capri \
+          --points 1 --fork --jobs "$JOBS" --quiet
     echo "== $san: concurrent campaign smoke (durable-lin on) =="
     # Lock-free queue + hash-map across all schemes, two
     # interleaving schedules each, with the durable-linearizability

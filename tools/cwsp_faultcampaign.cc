@@ -14,12 +14,16 @@
  * divergences and no silently-corrupting media fault).
  */
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,7 +53,8 @@ usage()
         "  --no-fork           re-execute every pre-crash prefix\n"
         "  --seed N            base seed of the deterministic\n"
         "                      interleaving schedules swept for\n"
-        "                      concurrent apps (default 1)\n"
+        "                      concurrent apps, 1..2^64-1; the JSON\n"
+        "                      report records it (default 1)\n"
         "  --schedules N       interleaving schedules per concurrent\n"
         "                      (app, scheme); schedule 0 is always\n"
         "                      the unjittered timing (default 2)\n"
@@ -62,7 +67,9 @@ usage()
         "                      cwsp_run's): campaign counters plus\n"
         "                      per-scheme recovery-latency and\n"
         "                      lost-work histograms (`-` = stdout)\n"
-        "  --quiet             suppress the per-case table\n");
+        "  --quiet             suppress the per-case table\n"
+        "N is decimal digits only; any other value exits 2 naming\n"
+        "the flag.\n");
 }
 
 const char *
@@ -73,6 +80,28 @@ arg(int argc, char **argv, int &i)
         std::exit(2);
     }
     return argv[++i];
+}
+
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+/**
+ * Strictly parse the value @p v of @p flag as a decimal integer in
+ * [1, @p max]: digits only (no sign, space, base prefix or suffix),
+ * no overflow. Otherwise name the flag on stderr and return nothing.
+ */
+std::optional<std::uint64_t>
+parsePositive(const std::string &flag, const char *v, std::uint64_t max)
+{
+    std::uint64_t n = 0;
+    const char *end = v + std::strlen(v);
+    auto [ptr, ec] = std::from_chars(v, end, n);
+    if (ec != std::errc{} || ptr != end || n == 0 || n > max) {
+        std::fprintf(stderr, "%s expects an integer in 1..%llu, got '%s'\n",
+                     flag.c_str(), (unsigned long long)max, v);
+        return std::nullopt;
+    }
+    return n;
 }
 
 std::vector<std::string>
@@ -102,13 +131,10 @@ runMain(int argc, char **argv)
         } else if (a == "--schemes") {
             opt.schemes = splitList(arg(argc, argv, i));
         } else if (a == "--points") {
-            int n = std::atoi(arg(argc, argv, i));
-            if (n <= 0) {
-                std::fprintf(stderr,
-                             "--points expects a positive count\n");
+            auto n = parsePositive(a, arg(argc, argv, i), kMaxU32);
+            if (!n)
                 return 2;
-            }
-            opt.pointsPerKind = static_cast<std::size_t>(n);
+            opt.pointsPerKind = static_cast<std::size_t>(*n);
         } else if (a == "--no-nested") {
             opt.nested = false;
         } else if (a == "--no-media") {
@@ -120,32 +146,22 @@ runMain(int argc, char **argv)
         } else if (a == "--no-fork") {
             opt.forkCheckpoints = false;
         } else if (a == "--seed") {
-            const char *v = arg(argc, argv, i);
-            long long n = std::atoll(v);
-            if (n <= 0) {
-                std::fprintf(
-                    stderr,
-                    "--seed expects a positive seed, got '%s'\n", v);
+            auto n = parsePositive(a, arg(argc, argv, i), kMaxU64);
+            if (!n)
                 return 2;
-            }
-            opt.interleaveSeed = static_cast<std::uint64_t>(n);
+            opt.interleaveSeed = *n;
         } else if (a == "--schedules") {
-            const char *v = arg(argc, argv, i);
-            int n = std::atoi(v);
-            if (n <= 0) {
-                std::fprintf(
-                    stderr,
-                    "--schedules expects a positive count, got "
-                    "'%s'\n",
-                    v);
+            auto n = parsePositive(a, arg(argc, argv, i), kMaxU32);
+            if (!n)
                 return 2;
-            }
-            opt.numSchedules = static_cast<std::uint32_t>(n);
+            opt.numSchedules = static_cast<std::uint32_t>(*n);
         } else if (a == "--seed-cas-bug") {
             opt.seedCasBug = true;
         } else if (a == "--jobs") {
-            opt.jobs =
-                static_cast<unsigned>(std::atoi(arg(argc, argv, i)));
+            auto n = parsePositive(a, arg(argc, argv, i), kMaxU32);
+            if (!n)
+                return 2;
+            opt.jobs = static_cast<unsigned>(*n);
         } else if (a == "--json") {
             json_path = arg(argc, argv, i);
         } else if (a == "--stats-json") {
