@@ -218,7 +218,13 @@ WholeSystemSim::WholeSystemSim(const ir::Module &module,
         ownArena_ = std::make_unique<sim::SimArena>();
         arena_ = ownArena_.get();
     }
+    // A second live sim would have its storage rewound under it by
+    // this one's reset() (and vice versa), corrupting both silently.
+    if (arena_->liveSims() != 0)
+        cwsp_panic("arena already holds a live simulator; give each "
+                   "simulator its own arena or destroy the first");
     reset();
+    arena_->attachSim();
 }
 
 WholeSystemSim::~WholeSystemSim()
@@ -228,6 +234,7 @@ WholeSystemSim::~WholeSystemSim()
     // (or its chunks, for an external arena the caller rewinds) goes.
     scheme_.reset();
     hierarchy_.reset();
+    arena_->detachSim();
 }
 
 void

@@ -217,6 +217,7 @@ class WholeSystemSim
      *                arena at a time — reuses warm chunks instead of
      *                hitting the heap per construction. Null: the sim
      *                owns a private arena with the same lifecycle.
+     *                Panics when @p arena already holds a live sim.
      */
     WholeSystemSim(const ir::Module &module, const SystemConfig &config,
                    sim::SimArena *arena = nullptr);
@@ -317,10 +318,14 @@ class WholeSystemSim
     Tick lastRunCycles() const { return lastCycles_; }
 
     /**
-     * Hint the expected committed-instruction count of upcoming runs
-     * (workloads::estimatedInstrs). Only tightens reserve() sizing of
-     * the crash-recording logs, which are otherwise sized from the
-     * instruction *budget* — a far looser bound. Never affects
+     * Hint the expected committed-instruction count of upcoming runs,
+     * summed over cores: workloads::estimatedInstrs, or the golden
+     * run's exact count for a fault-campaign case (GoldenRef::instrs).
+     * Only tightens reserve() sizing of the crash-recording logs, to
+     * twice the hint; without it they are sized from the replay
+     * stream's length, else from the instruction *budget*, a far
+     * looser bound (a 200 M budget reserves 1 M store records for a
+     * concurrent kernel of ~1,000 instructions). Never affects
      * budgets or results; 0 clears the hint.
      */
     void setExpectedInstrs(std::uint64_t n) { expectedInstrs_ = n; }

@@ -158,20 +158,14 @@ streamKey(const workloads::AppProfile &app,
            core::compilerOptionsKey(options) + "|entry=" + entry;
 }
 
-/**
- * Per-worker allocation arena for the simulator's hierarchy/scheme
- * state. compute() runs one simulation at a time per thread, so the
- * arena always holds exactly one live sim and each construction
- * reuses the previous run's warm chunks.
- */
+} // namespace
+
 sim::SimArena *
 workerArena()
 {
     static thread_local sim::SimArena arena;
     return &arena;
 }
-
-} // namespace
 
 struct BatchRunner::Impl
 {
@@ -328,8 +322,27 @@ std::shared_ptr<const ir::Module>
 BatchRunner::moduleFor(const workloads::AppProfile &app,
                        const compiler::CompilerOptions &options)
 {
-    std::string key = workloads::profileKey(app) + "|" +
-                      core::compilerOptionsKey(options);
+    return cachedModule(
+        workloads::profileKey(app) + "|" +
+            core::compilerOptionsKey(options),
+        [&] { return workloads::buildApp(app, options); });
+}
+
+std::shared_ptr<const ir::Module>
+BatchRunner::moduleFor(const workloads::ConcurrentProfile &app,
+                       const compiler::CompilerOptions &options)
+{
+    return cachedModule(
+        workloads::concurrentProfileKey(app) + "|" +
+            core::compilerOptionsKey(options),
+        [&] { return workloads::buildConcurrentApp(app, options); });
+}
+
+std::shared_ptr<const ir::Module>
+BatchRunner::cachedModule(
+    const std::string &key,
+    const std::function<std::unique_ptr<ir::Module>()> &build)
+{
     std::promise<std::shared_ptr<const ir::Module>> promise;
     std::shared_future<std::shared_ptr<const ir::Module>> fut;
     bool owner = false;
@@ -351,8 +364,7 @@ BatchRunner::moduleFor(const workloads::AppProfile &app,
 
     impl_->modulesCompiled.fetch_add(1, std::memory_order_relaxed);
     try {
-        std::shared_ptr<const ir::Module> mod =
-            workloads::buildApp(app, options);
+        std::shared_ptr<const ir::Module> mod = build();
         promise.set_value(mod);
         return mod;
     } catch (...) {

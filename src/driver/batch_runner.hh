@@ -46,6 +46,7 @@
 #include "core/sim_checkpoint.hh"
 #include "core/whole_system_sim.hh"
 #include "obs/invariant_monitor.hh"
+#include "workloads/concurrent.hh"
 #include "workloads/workload.hh"
 
 namespace cwsp::driver {
@@ -148,6 +149,16 @@ struct BatchStats
     std::uint64_t ckptFallbacks = 0; ///< cases re-run from scratch
 };
 
+/**
+ * The calling thread's simulator allocation arena. Batch workers and
+ * fault-campaign cases run one simulation at a time per thread, so
+ * each construction reuses the previous run's warm chunks. The arena
+ * holds at most one live simulator (WholeSystemSim panics on a
+ * second), so a thread must destroy its sim before building the
+ * next. A worker thread's arena dies with the thread.
+ */
+sim::SimArena *workerArena();
+
 /** The parallel batch engine. */
 class BatchRunner
 {
@@ -190,9 +201,15 @@ class BatchRunner
     /**
      * Compiled-module cache lookup: build-and-compile once per
      * (app parameters, compiler options), then share read-only.
+     * Concurrent callers of one key wait for the single build.
      */
     std::shared_ptr<const ir::Module>
     moduleFor(const workloads::AppProfile &app,
+              const compiler::CompilerOptions &options);
+
+    /** The same cache for a concurrent kernel (buildConcurrentApp). */
+    std::shared_ptr<const ir::Module>
+    moduleFor(const workloads::ConcurrentProfile &app,
               const compiler::CompilerOptions &options);
 
     /**
@@ -258,6 +275,11 @@ class BatchRunner
     BatchConfig config_;
     std::string cacheDir_; ///< resolved from config/env
     StatsRegistry aggregate_; ///< merged per-sim stats (mutex inside)
+
+    /** moduleFor() behind @p key: @p build runs once per key. */
+    std::shared_ptr<const ir::Module> cachedModule(
+        const std::string &key,
+        const std::function<std::unique_ptr<ir::Module>()> &build);
 
     /** run() with the key precomputed and the replay plan decided. */
     core::RunResult runPoint(const DesignPoint &point,

@@ -214,11 +214,14 @@ struct Context
     Word goldenResult = 0;
     interp::SparseMemory goldenMemory;
     std::vector<arch::IoRecord> goldenIo;
-    /** Fault-free timed cycles (overhead axis of the Pareto report). */
-    Tick goldenCycles = 0;
     /** Compiled commit stream replayed by this context's cases. */
     core::CommitStream stream;
     bool hasStream = false;
+    /**
+     * Crash points plus the fault-free golden run they came from:
+     * runCycles is the overhead axis of the Pareto report, runInstrs
+     * sizes every case's crash-recording logs.
+     */
     CrashPointSet points;
     /** Campaign-wide checkpoint cache (null = forking disabled). */
     core::CheckpointCache *ckptCache = nullptr;
@@ -251,6 +254,7 @@ refOf(const Context &ctx)
     g.result = ctx.goldenResult;
     g.memory = &ctx.goldenMemory;
     g.ioStream = &ctx.goldenIo;
+    g.instrs = ctx.points.runInstrs;
     g.stream = ctx.hasStream ? &ctx.stream : nullptr;
     g.ckptCache = ctx.ckptCache;
     if (ctx.ckptCache)
@@ -450,7 +454,9 @@ runCase(const CampaignCase &c, const GoldenRef &golden,
         // context's config exactly.
         core::SystemConfig cfg = *golden.config;
         cfg.scheme.interleave = c.interleave;
-        core::WholeSystemSim sim(*golden.module, cfg);
+        core::WholeSystemSim sim(*golden.module, cfg,
+                                 driver::workerArena());
+        sim.setExpectedInstrs(golden.instrs);
         static const std::vector<core::ThreadSpec> kMainThread{
             core::ThreadSpec{}};
         const auto &threads =
@@ -609,7 +615,10 @@ runCampaign(const CampaignOptions &options)
 
     // Phase 1: golden runs + crash-point enumeration, one context per
     // (app, scheme) slot — concurrent apps get one slot per
-    // interleaving schedule — parallel, each self-contained.
+    // interleaving schedule — parallel, each self-contained. Contexts
+    // that run the same program (app, compiler options) share one
+    // module from the pool's cache: a concurrent campaign's 3 apps x
+    // 6 schemes x 32 schedules compile 12 programs, not 576.
     std::vector<Context> contexts;
     for (std::size_t a = 0; a < options.apps.size(); ++a) {
         const bool conc =
@@ -630,122 +639,94 @@ runCampaign(const CampaignOptions &options)
     }
     {
         std::vector<std::function<void()>> prep;
-        for (Context &ctxSlot : contexts) {
-            {
-                Context &ctx = ctxSlot;
-                prep.push_back([&ctx, &options,
-                                cache = ckptCache]() {
-                    ctx.config = core::makeSystemConfig(ctx.scheme);
-                    if (ctx.concurrent) {
-                        // Multicore golden run: fault-free timing
-                        // plus the reference worker return value
-                        // (each worker deterministically finishes
-                        // opsPerWorker ops). Commit-stream replay and
-                        // checkpoint forking are single-core
-                        // machineries and stay off; the durable-lin
-                        // verdict replaces the differential checks.
-                        const auto *cp =
-                            workloads::findConcurrentApp(ctx.app);
-                        ctx.config.numCores = cp->params.numWorkers;
-                        ctx.config.scheme.interleave =
-                            core::interleaveSchedule(
-                                options.interleaveSeed, ctx.ilvIndex);
-                        ctx.config.scheme.bugCasSkipPersist =
-                            options.seedCasBug;
-                        ctx.module = workloads::buildConcurrentApp(
-                            *cp, ctx.config.compiler);
-                        ctx.cspec = workloads::concurrentSpec(
-                            *ctx.module, *cp);
-                        ctx.threads.clear();
-                        for (std::uint32_t t = 0;
-                             t < cp->params.numWorkers; ++t) {
-                            ctx.cops.push_back(
-                                workloads::concurrentOps(*cp, t));
-                            ctx.threads.push_back(core::ThreadSpec{
-                                "worker", {Word{t}}});
-                        }
-                        core::WholeSystemSim sim(*ctx.module,
-                                                 ctx.config);
-                        ctx.goldenCycles =
-                            sim.run(ctx.threads, options.maxInstrs)
-                                .cycles;
-                        ctx.goldenResult = cp->params.opsPerWorker;
-                        ctx.points = enumerateCrashPoints(
-                            *ctx.module, ctx.config, ctx.threads,
-                            options.pointsPerKind);
-                        return;
+        for (Context &ctx : contexts) {
+            prep.push_back([&ctx, &options, &pool, cache = ckptCache]() {
+                ctx.config = core::makeSystemConfig(ctx.scheme);
+                if (ctx.concurrent) {
+                    // Multicore golden run: the enumeration pass times
+                    // it, and each worker deterministically finishes
+                    // opsPerWorker ops (the reference return value).
+                    // Commit-stream replay and checkpoint forking are
+                    // single-core machineries and stay off; the
+                    // durable-lin verdict replaces the differential
+                    // checks.
+                    const auto *cp = workloads::findConcurrentApp(ctx.app);
+                    ctx.config.numCores = cp->params.numWorkers;
+                    ctx.config.scheme.interleave = core::interleaveSchedule(
+                        options.interleaveSeed, ctx.ilvIndex);
+                    ctx.config.scheme.bugCasSkipPersist =
+                        options.seedCasBug;
+                    ctx.module = pool.moduleFor(*cp, ctx.config.compiler);
+                    ctx.cspec = workloads::concurrentSpec(*ctx.module, *cp);
+                    ctx.threads.clear();
+                    for (std::uint32_t t = 0; t < cp->params.numWorkers;
+                         ++t) {
+                        ctx.cops.push_back(workloads::concurrentOps(*cp, t));
+                        ctx.threads.push_back(
+                            core::ThreadSpec{"worker", {Word{t}}});
                     }
-                    const auto &profile =
-                        workloads::appByName(ctx.app);
-                    ctx.module = workloads::buildApp(
-                        profile, ctx.config.compiler);
-                    ctx.goldenResult = interp::runToCompletion(
-                        *ctx.module, ctx.goldenMemory, "main", {});
-                    ctx.goldenIo = core::collectIoStream(
-                        *ctx.module, "main", {});
-                    // Record the commit stream once; every case of
-                    // this context then replays its pristine epochs
-                    // instead of re-interpreting them. Battery-backed
-                    // schemes never replay (they need a live snapshot
-                    // at the crash instant), so skip the recording.
-                    if (!ctx.config.scheme.batteryBacked) {
-                        ctx.stream = core::recordCommitStream(
-                            *ctx.module, "main", {},
-                            options.maxInstrs,
-                            workloads::estimatedInstrs(profile));
-                        ctx.hasStream = true;
-                    }
+                    ctx.goldenResult = cp->params.opsPerWorker;
                     ctx.points = enumerateCrashPoints(
-                        *ctx.module, ctx.config, {core::ThreadSpec{}},
+                        *ctx.module, ctx.config, ctx.threads,
                         options.pointsPerKind);
-                    // Forked mode: one more pass over the golden
-                    // schedule captures a checkpoint at every first
-                    // crash tick any of this context's cases will
-                    // use (nested/media cases all pivot on an
-                    // enumerated point, so the point ticks cover
-                    // them). Cost: one run per context, amortized
-                    // over its ~dozen cases.
-                    if (cache && !ctx.points.points.empty()) {
-                        std::vector<Tick> ticks;
-                        for (const auto &p : ctx.points.points)
-                            ticks.push_back(p.tick);
-                        std::sort(ticks.begin(), ticks.end());
-                        ticks.erase(
-                            std::unique(ticks.begin(), ticks.end()),
+                    return;
+                }
+                const auto &profile = workloads::appByName(ctx.app);
+                ctx.module = pool.moduleFor(profile, ctx.config.compiler);
+                ctx.goldenResult = interp::runToCompletion(
+                    *ctx.module, ctx.goldenMemory, "main", {});
+                ctx.goldenIo =
+                    core::collectIoStream(*ctx.module, "main", {});
+                // Record the commit stream once; every case of this
+                // context then replays its pristine epochs instead of
+                // re-interpreting them. Battery-backed schemes never
+                // replay (they need a live snapshot at the crash
+                // instant), so skip the recording.
+                if (!ctx.config.scheme.batteryBacked) {
+                    ctx.stream = core::recordCommitStream(
+                        *ctx.module, "main", {}, options.maxInstrs,
+                        workloads::estimatedInstrs(profile));
+                    ctx.hasStream = true;
+                }
+                ctx.points = enumerateCrashPoints(
+                    *ctx.module, ctx.config, {core::ThreadSpec{}},
+                    options.pointsPerKind);
+                if (!cache || ctx.points.points.empty())
+                    return;
+                // Forked mode: one more pass over the golden schedule
+                // captures a checkpoint at every first crash tick any
+                // of this context's cases will use (nested/media cases
+                // all pivot on an enumerated point, so the point ticks
+                // cover them). Cost: one run per context, amortized
+                // over its ~dozen cases.
+                std::vector<Tick> ticks;
+                for (const auto &p : ctx.points.points)
+                    ticks.push_back(p.tick);
+                std::sort(ticks.begin(), ticks.end());
+                ticks.erase(std::unique(ticks.begin(), ticks.end()),
                             ticks.end());
-                        core::WholeSystemSim sim(*ctx.module,
-                                                 ctx.config);
-                        auto cr = sim.captureCheckpoints(
-                            {core::ThreadSpec{}}, ticks,
-                            options.maxInstrs,
-                            ctx.hasStream ? &ctx.stream : nullptr);
-                        ctx.goldenCycles = cr.result.cycles;
-                        std::string base = ckptKeyBaseOf(ctx);
-                        for (auto &ck : cr.checkpoints)
-                            cache->insert(
-                                base + ":" +
-                                    std::to_string(ck->crashTick),
-                                ck);
-                        ctx.ckptCache = cache;
-                    } else {
-                        // No capture pass doubling as the timed
-                        // golden run: run one for the Pareto
-                        // report's overhead axis (stream-driven when
-                        // available, so it costs a fraction of an
-                        // interpreted run).
-                        core::WholeSystemSim sim(*ctx.module,
-                                                 ctx.config);
-                        ctx.goldenCycles =
-                            ctx.hasStream
-                                ? sim.runReplay(ctx.stream,
-                                                options.maxInstrs)
-                                      .cycles
-                                : sim.run("main", {},
-                                          options.maxInstrs)
-                                      .cycles;
-                    }
-                });
-            }
+                core::WholeSystemSim sim(*ctx.module, ctx.config);
+                auto cr = sim.captureCheckpoints(
+                    {core::ThreadSpec{}}, ticks, options.maxInstrs,
+                    ctx.hasStream ? &ctx.stream : nullptr);
+                // The capture pass re-runs the golden schedule (from
+                // the stream when there is one): a free check that
+                // replay reproduces the interpreted enumeration run.
+                cwsp_assert(cr.result.cycles == ctx.points.runCycles &&
+                                cr.result.instructions ==
+                                    ctx.points.runInstrs,
+                            ckptKeyBaseOf(ctx), ": capture pass ran ",
+                            cr.result.cycles, " cycles / ",
+                            cr.result.instructions,
+                            " instrs, enumeration ",
+                            ctx.points.runCycles, " / ",
+                            ctx.points.runInstrs);
+                const std::string base = ckptKeyBaseOf(ctx);
+                for (auto &ck : cr.checkpoints)
+                    cache->insert(
+                        base + ":" + std::to_string(ck->crashTick), ck);
+                ctx.ckptCache = cache;
+            });
         }
         pool.runTasks(prep);
     }
@@ -755,6 +736,8 @@ runCampaign(const CampaignOptions &options)
     // independent of the jobs count.
     CampaignReport report;
     report.interleaveSeed = options.interleaveSeed;
+    report.modulesCompiled = pool.stats().modulesCompiled;
+    report.contexts = contexts.size();
     std::vector<const Context *> caseCtx;
     for (const auto &ctx : contexts) {
         auto cs = casesFor(ctx, options);
@@ -840,7 +823,7 @@ runCampaign(const CampaignOptions &options)
                 continue;
             report.recovery[idxOf.at(ctx.scheme)]
                 .goldenCycles.emplace_back(ctx.app,
-                                           ctx.goldenCycles);
+                                           ctx.points.runCycles);
         }
         // Runtime overhead: gmean over apps of this scheme's
         // fault-free cycles vs. the baseline scheme's. Unavailable
@@ -957,6 +940,8 @@ CampaignReport::fillStats(StatsRegistry &reg) const
         .inc(totals.staleSlotsDetected);
     reg.counter("fault_campaign.atomic_resumes")
         .inc(totals.atomicResumes);
+    reg.counter("fault_campaign.modules_compiled").inc(modulesCompiled);
+    reg.counter("fault_campaign.contexts").inc(contexts);
     if (ckptCache.enabled) {
         reg.counter("ckpt.captures").inc(ckptCache.captures);
         reg.counter("ckpt.forks").inc(ckptCache.forks);

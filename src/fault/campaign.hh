@@ -252,6 +252,14 @@ struct CampaignReport
      * as a JSON string, since it can exceed 2^53.
      */
     std::uint64_t interleaveSeed = 1;
+    /**
+     * Golden contexts (one per app x scheme, times the schedules of a
+     * concurrent app) and the distinct programs compiled for them:
+     * contexts with the same app and compiler options share a module.
+     * Exported by fillStats(), not part of the JSON report.
+     */
+    std::size_t contexts = 0;
+    std::size_t modulesCompiled = 0;
     CkptCacheReport ckptCache;  ///< forked-mode cache behaviour
     /** Per-scheme recovery aggregates, campaign scheme order. */
     std::vector<SchemeRecoveryStats> recovery;
@@ -263,8 +271,9 @@ struct CampaignReport
 
     /**
      * Register the campaign outcome in @p reg — counters under
-     * "fault_campaign." and "ckpt.", per-scheme recovery histograms
-     * and phase totals under "recovery.<scheme>." — so the
+     * "fault_campaign." (outcomes, contexts, modules_compiled) and
+     * "ckpt.", per-scheme recovery histograms and phase totals
+     * under "recovery.<scheme>." — so the
      * cwsp_faultcampaign --stats-json export nests hierarchically
      * exactly like cwsp_run's. Histograms are refilled from the raw
      * per-case windows (exact moments, not bucket-quantized).
@@ -275,7 +284,9 @@ struct CampaignReport
 /**
  * Build and run the campaign described by @p options. Cases run
  * across a BatchRunner worker pool; results are deterministic and
- * independent of the jobs count.
+ * independent of the jobs count. Contexts that run the same program
+ * share one compiled module from the pool's cache, which lives for
+ * this call only.
  */
 CampaignReport runCampaign(const CampaignOptions &options);
 
@@ -291,6 +302,13 @@ struct GoldenRef
     Word result = 0;
     const interp::SparseMemory *memory = nullptr;
     const std::vector<arch::IoRecord> *ioStream = nullptr;
+    /**
+     * Committed instructions of the golden run, summed over cores
+     * (CrashPointSet::runInstrs); 0 = unknown. runCase() passes it to
+     * WholeSystemSim::setExpectedInstrs, so crash epochs reserve
+     * their logs for this program rather than for max_instrs.
+     */
+    std::uint64_t instrs = 0;
     /**
      * Optional compiled commit stream of the golden run. When set,
      * replay-eligible epochs of every case skip re-interpretation

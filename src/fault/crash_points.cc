@@ -134,9 +134,11 @@ enumerateCrashPoints(const ir::Module &module,
     CrashPointCollector collector;
     core::WholeSystemSim sim(module, config);
     sim.attachTraceSink(&collector);
-    CrashPointSet set;
-    set.runCycles = sim.run(threads).cycles;
+    const core::RunResult run = sim.run(threads);
     sim.attachTraceSink(nullptr);
+    CrashPointSet set;
+    set.runCycles = run.cycles;
+    set.runInstrs = run.instructions;
 
     // Bound to the run: a crash at tick >= runCycles never fires
     // (the program has finished).

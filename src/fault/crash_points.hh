@@ -92,14 +92,19 @@ struct CrashPointSet
 {
     std::vector<CrashPoint> points; ///< sorted by tick, in-run only
     Tick runCycles = 0;             ///< full-run cycle count
+    /** Committed instructions of the run, summed over cores. */
+    std::uint64_t runInstrs = 0;
 };
 
 /**
  * Run @p module under @p config once with a collector attached and
  * return the harvested points (ticks clamped to the run: a crash at
- * or past the final cycle never fires). The run is a plain timed run;
- * schemes that record nothing (baseline, psp) still produce
- * RegionBegin/MidDrain points from their boundary events.
+ * or past the final cycle never fires). The run is a plain timed run
+ * (the collector only observes), so runCycles and runInstrs are the
+ * fault-free golden run's: the campaign takes them from here instead
+ * of timing the program again. Schemes that record nothing (baseline,
+ * psp) still produce RegionBegin/MidDrain points from their boundary
+ * events.
  */
 CrashPointSet enumerateCrashPoints(
     const ir::Module &module, const core::SystemConfig &config,

@@ -122,6 +122,17 @@ class SimArena
     /** The thread's current arena (nullptr outside any ArenaScope). */
     static SimArena *current();
 
+    /**
+     * Simulators currently built on this arena. reset() rewinds the
+     * storage under every one of them, so at most one may be live:
+     * WholeSystemSim refuses an arena that already holds a simulator,
+     * attaches itself on construction and detaches on destruction.
+     * Not synchronized; an arena belongs to one thread.
+     */
+    std::size_t liveSims() const { return liveSims_; }
+    void attachSim() { ++liveSims_; }
+    void detachSim() { --liveSims_; }
+
   private:
     static constexpr std::size_t kDefaultChunkBytes = 1u << 20;
 
@@ -154,6 +165,7 @@ class SimArena
     std::size_t active_ = 0;
     std::size_t offset_ = 0;
     std::size_t allocated_ = 0;
+    std::size_t liveSims_ = 0;
 
     friend class ArenaScope;
     static thread_local SimArena *tlsCurrent_;

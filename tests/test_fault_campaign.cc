@@ -10,14 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "compiler/compiler.hh"
 #include "core/consistency_checker.hh"
+#include "core/interleave.hh"
 #include "core/whole_system_sim.hh"
 #include "fault/campaign.hh"
 #include "fault/crash_points.hh"
 #include "interp/interpreter.hh"
+#include "workloads/concurrent.hh"
 #include "workloads/kernels.hh"
 #include "workloads/workload.hh"
 
@@ -375,6 +378,128 @@ TEST(FaultCampaign, SeededCasBugCaughtAndShrunk)
     }
     EXPECT_TRUE(sawViolation);
     EXPECT_GT(report.shrinkRuns, 0u);
+}
+
+/** The per-worker thread roster of concurrent app @p cp. */
+std::vector<core::ThreadSpec>
+workerThreads(const workloads::ConcurrentProfile &cp)
+{
+    std::vector<core::ThreadSpec> threads;
+    for (std::uint32_t t = 0; t < cp.params.numWorkers; ++t)
+        threads.push_back(core::ThreadSpec{"worker", {Word{t}}});
+    return threads;
+}
+
+// Contexts that run the same program share one compiled module, and
+// cases size their logs to the golden run. Neither may change a
+// verdict: re-run every case against a golden reference built the
+// unshared way (a freshly compiled module per context, no
+// instruction hint) and require the same result.
+TEST(FaultCampaign, SharedModulesMatchPerContextBuilds)
+{
+    fault::CampaignOptions opt;
+    opt.apps = {"cstack", "cqueue"};
+    opt.schemes = {"cwsp", "replaycache"};
+    opt.pointsPerKind = 1;
+    opt.numSchedules = 3;
+    opt.jobs = 2;
+    auto report = fault::runCampaign(opt);
+    ASSERT_TRUE(report.allPassed());
+    ASSERT_FALSE(report.cases.empty());
+    EXPECT_EQ(report.contexts, 12u);
+    // cwsp and replaycache compile with different options.
+    EXPECT_EQ(report.modulesCompiled, 4u);
+
+    struct PerContext
+    {
+        core::SystemConfig cfg;
+        std::unique_ptr<ir::Module> mod;
+        std::vector<core::ThreadSpec> threads;
+        workloads::ConcurrentSpec spec;
+        std::vector<std::vector<workloads::ConcurrentOp>> ops;
+        Word result = 0;
+    };
+    std::map<std::string, PerContext> contexts;
+    const interp::SparseMemory noMemory;
+    const std::vector<arch::IoRecord> noIo;
+    for (const fault::CaseResult &shared : report.cases) {
+        const fault::CampaignCase &c = shared.c;
+        const std::string key = c.app + "|" + c.scheme + "|" +
+                                std::to_string(c.ilvIndex);
+        auto [it, fresh] = contexts.try_emplace(key);
+        PerContext &pc = it->second;
+        if (fresh) {
+            const auto *cp = workloads::findConcurrentApp(c.app);
+            ASSERT_NE(cp, nullptr);
+            pc.cfg = core::makeSystemConfig(c.scheme);
+            pc.cfg.numCores = cp->params.numWorkers;
+            pc.cfg.scheme.interleave = core::interleaveSchedule(
+                opt.interleaveSeed, c.ilvIndex);
+            pc.mod = workloads::buildConcurrentApp(*cp, pc.cfg.compiler);
+            pc.threads = workerThreads(*cp);
+            pc.spec = workloads::concurrentSpec(*pc.mod, *cp);
+            for (std::uint32_t t = 0; t < cp->params.numWorkers; ++t)
+                pc.ops.push_back(workloads::concurrentOps(*cp, t));
+            pc.result = cp->params.opsPerWorker;
+        }
+        fault::GoldenRef ref;
+        ref.module = pc.mod.get();
+        ref.config = &pc.cfg;
+        ref.result = pc.result;
+        ref.memory = &noMemory;
+        ref.ioStream = &noIo;
+        ref.threads = &pc.threads;
+        ref.dlSpec = &pc.spec;
+        ref.dlOps = &pc.ops;
+        const fault::CaseResult r = fault::runCase(c, ref);
+        EXPECT_EQ(r.pass, shared.pass) << c.label();
+        EXPECT_EQ(r.dlVerdict, shared.dlVerdict) << c.label();
+        EXPECT_EQ(r.dlInvokedOps, shared.dlInvokedOps) << c.label();
+        EXPECT_EQ(r.dlCompletedOps, shared.dlCompletedOps) << c.label();
+        EXPECT_EQ(r.recoveryWindows, shared.recoveryWindows)
+            << c.label();
+        EXPECT_EQ(r.lostWork, shared.lostWork) << c.label();
+        EXPECT_EQ(r.divergences, shared.divergences) << c.label();
+    }
+    EXPECT_EQ(contexts.size(), report.contexts);
+}
+
+// The campaign takes each context's golden cycles and instruction
+// count from the crash-point enumeration run instead of timing the
+// program again, so that run must be a plain timed run: attaching
+// the collector may not move a cycle.
+TEST(FaultCampaign, EnumerationRunIsThePlainRun)
+{
+    const auto *cqueue = workloads::findConcurrentApp("cqueue");
+    ASSERT_NE(cqueue, nullptr);
+    ASSERT_EQ(cqueue->params.numWorkers, 3u);
+    const auto workers = workerThreads(*cqueue);
+    for (const std::string &scheme : fault::allSchemeNames()) {
+        const core::SystemConfig base = core::makeSystemConfig(scheme);
+        auto conc = workloads::buildConcurrentApp(*cqueue, base.compiler);
+        for (std::uint32_t ilv : {0u, 1u}) {
+            core::SystemConfig cfg = base;
+            cfg.numCores = cqueue->params.numWorkers;
+            cfg.scheme.interleave = core::interleaveSchedule(1, ilv);
+            auto pts = fault::enumerateCrashPoints(*conc, cfg, workers);
+            core::WholeSystemSim sim(*conc, cfg);
+            const core::RunResult run = sim.run(workers);
+            EXPECT_EQ(pts.runCycles, run.cycles)
+                << "cqueue/" << scheme << " ilv" << ilv;
+            EXPECT_EQ(pts.runInstrs, run.instructions)
+                << "cqueue/" << scheme << " ilv" << ilv;
+        }
+
+        auto fft = workloads::buildApp(workloads::appByName("fft"),
+                                       base.compiler);
+        auto pts = fault::enumerateCrashPoints(*fft, base,
+                                               {core::ThreadSpec{}});
+        core::WholeSystemSim sim(*fft, base);
+        const core::RunResult run = sim.run("main");
+        EXPECT_GT(run.instructions, 0u);
+        EXPECT_EQ(pts.runCycles, run.cycles) << "fft/" << scheme;
+        EXPECT_EQ(pts.runInstrs, run.instructions) << "fft/" << scheme;
+    }
 }
 
 } // namespace

@@ -1,15 +1,20 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering, stats,
- * and deterministic RNG.
+ * deterministic RNG, and the one-live-simulator-per-arena guard.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/whole_system_sim.hh"
+#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "workloads/workload.hh"
 
 namespace cwsp {
 namespace {
@@ -184,6 +189,31 @@ TEST(Logging, PanicThrowsLogicError)
 TEST(Logging, FatalThrowsRuntimeError)
 {
     EXPECT_THROW(cwsp_fatal("bad config"), std::runtime_error);
+}
+
+// reset() rewinds an arena under every simulator built on it, so a
+// second live simulator on one arena would corrupt the first
+// silently. Construction refuses it; once the first is destroyed the
+// arena is free again.
+TEST(SimArenaGuard, OneLiveSimulatorPerArena)
+{
+    const core::SystemConfig cfg = core::makeSystemConfig("cwsp");
+    auto mod = workloads::buildApp(workloads::appByName("fft"),
+                                   cfg.compiler);
+    sim::SimArena arena;
+    Word expected = 0;
+    {
+        core::WholeSystemSim first(*mod, cfg, &arena);
+        EXPECT_EQ(arena.liveSims(), 1u);
+        EXPECT_THROW((core::WholeSystemSim(*mod, cfg, &arena)),
+                     std::logic_error);
+        EXPECT_EQ(arena.liveSims(), 1u);
+        expected = first.run("main").returnValues.at(0);
+    }
+    EXPECT_EQ(arena.liveSims(), 0u);
+    core::WholeSystemSim next(*mod, cfg, &arena);
+    EXPECT_EQ(arena.liveSims(), 1u);
+    EXPECT_EQ(next.run("main").returnValues.at(0), expected);
 }
 
 } // namespace

@@ -214,6 +214,8 @@ runMain(int argc, char **argv)
         (unsigned long long)t.regionRestarts,
         (unsigned long long)t.fullRestarts,
         (unsigned long long)t.atomicResumes);
+    std::fprintf(out, "  programs: %zu compiled for %zu contexts\n",
+                 report.modulesCompiled, report.contexts);
     if (report.ckptCache.enabled) {
         const auto &ck = report.ckptCache;
         std::fprintf(
