@@ -60,8 +60,8 @@ class StreamRecordSink final : public interp::CommitSink
         }
         if (info.kind == CommitKind::Boundary) {
             op.aux = info.staticRegion;
-            // Same snapshot RecordingSink takes: rewound to re-commit
-            // the boundary instruction on resume.
+            // Same snapshot a recording run takes: rewound to
+            // re-commit the boundary instruction on resume.
             CommitStream::SnapRef ref;
             ref.begin = static_cast<std::uint32_t>(stream_.frames.size());
             interp_->appendSnapshot(stream_.frames);

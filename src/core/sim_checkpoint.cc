@@ -23,9 +23,9 @@ SimCheckpoint::bytes() const
     std::size_t b = sizeof(*this);
     b += componentBytes.capacity() + traceBytes.capacity() +
          samplerBytes.capacity();
-    b += finishedAt.capacity() * sizeof(Tick) +
-         coreReturns.capacity() * sizeof(Word) +
-         coreFinished.capacity();
+    b += position.finishedAt.capacity() * sizeof(Tick) +
+         position.coreReturns.capacity() * sizeof(Word) +
+         position.coreFinished.capacity();
     for (const auto &t : threads)
         b += sizeof(t) + t.entry.size() +
              t.args.capacity() * sizeof(Word);
@@ -36,7 +36,7 @@ SimCheckpoint::bytes() const
         for (const auto &kv : bundle->snapshots)
             b += snapshotBytes(kv.second) + 64; // map node overhead
     }
-    for (const auto &snap : exactSnaps)
+    for (const auto &snap : position.exactSnaps)
         b += snapshotBytes(snap);
     if (memory)
         b += memory->residentBytes();

@@ -37,22 +37,32 @@
 
 namespace cwsp::core {
 
+/** Where execution stands at a stop instant, per core: what crash
+ *  handling reads, however the run got there. */
+struct ExecPosition
+{
+    std::uint64_t steps = 0; ///< instruction budget consumed
+    std::vector<Tick> finishedAt; ///< kTickNever while running
+    std::vector<Word> coreReturns;
+    std::vector<std::uint8_t> coreFinished;
+    /** Running cores' exact control state (battery-backed only). */
+    std::vector<interp::ControlSnapshot> exactSnaps;
+};
+
 /** Full hot state of a simulation at one pre-crash instant. */
 struct SimCheckpoint
 {
     // ---- Identity: a fork is only legal onto a sim with the same
-    // program, scheme, thread set, and crash tick; runWithCrashes()
-    // falls back to from-scratch execution on any mismatch.
+    // program, configuration (systemConfigKey), thread set, and crash
+    // tick; runWithCrashes() falls back to from-scratch execution on
+    // any mismatch.
     const ir::Module *module = nullptr;
-    std::string schemeName;
+    std::string configKey;
     std::vector<ThreadSpec> threads;
     Tick crashTick = 0;
 
-    // ---- Execution position at the capture instant.
-    std::uint64_t steps = 0; ///< instruction budget consumed
-    std::vector<Tick> finishedAt;
-    std::vector<Word> coreReturns;
-    std::vector<std::uint8_t> coreFinished;
+    /** Execution position at the capture instant. */
+    ExecPosition position;
 
     /**
      * Copy of the recording bundle prefix (stores, regions, device
@@ -90,12 +100,11 @@ struct SimCheckpoint
     std::vector<std::uint8_t> samplerBytes;
 
     // ---- Battery-backed schemes (Capri): the crash handler reads
-    // the live memory image and snapshots the execution context, so
-    // both are part of the checkpoint. Null/empty otherwise (the
-    // non-battery crash path reconstructs durable state from the
-    // bundle alone).
+    // the live memory image and snapshots the execution context
+    // (position.exactSnaps), so both are part of the checkpoint.
+    // Null/empty otherwise (the non-battery crash path reconstructs
+    // durable state from the bundle alone).
     std::unique_ptr<interp::SparseMemory> memory;
-    std::vector<interp::ControlSnapshot> exactSnaps;
 
     /** Resident size estimate, for the cache byte cap. */
     std::size_t bytes() const;

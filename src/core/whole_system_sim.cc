@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/config_serial.hh"
 #include "core/crash_injection.hh"
 #include "core/recovery_engine.hh"
 #include "core/sim_checkpoint.hh"
@@ -14,64 +15,20 @@ namespace cwsp::core {
 
 namespace {
 
-/**
- * Sink that forwards commits to the scheme and snapshots the
- * committing interpreter's control state at each region boundary,
- * pruning snapshots of long-persisted regions.
- */
-class RecordingSink final : public interp::CommitSink
-{
-  public:
-    RecordingSink(arch::Scheme &scheme, RecordingBundle &bundle,
-                  std::vector<std::unique_ptr<interp::Interpreter>>
-                      &cores,
-                  std::size_t keep_per_core)
-        : scheme_(scheme), bundle_(bundle), cores_(cores),
-          keep_(keep_per_core)
-    {
-    }
+using Cores = std::vector<std::unique_ptr<interp::Interpreter>>;
 
-    void
-    onCommit(const interp::CommitInfo &info) override
-    {
-        scheme_.onCommit(info);
-        if (info.kind != interp::CommitKind::Boundary)
-            return;
-        RegionId id = scheme_.currentRegion(info.core);
-        bundle_.snapshots[id] = cores_[info.core]->snapshot();
-        if (ring_.size() <= info.core)
-            ring_.resize(info.core + 1);
-        auto &r = ring_[info.core];
-        r.push_back(id);
-        if (r.size() > keep_) {
-            bundle_.snapshots.erase(r.front());
-            r.erase(r.begin());
-        }
-    }
-
-  private:
-    arch::Scheme &scheme_;
-    RecordingBundle &bundle_;
-    std::vector<std::unique_ptr<interp::Interpreter>> &cores_;
-    std::size_t keep_;
-    std::vector<std::vector<RegionId>> ring_;
-};
-
-/** Sink that forwards to an inner sink and collects Io commits. */
+/** Sink that collects Io commits. */
 class IoCollectingSink final : public interp::CommitSink
 {
   public:
-    explicit IoCollectingSink(std::vector<arch::IoRecord> &out,
-                              interp::CommitSink *inner = nullptr)
-        : out_(out), inner_(inner)
+    explicit IoCollectingSink(std::vector<arch::IoRecord> &out)
+        : out_(out)
     {
     }
 
     void
     onCommit(const interp::CommitInfo &info) override
     {
-        if (inner_)
-            inner_->onCommit(info);
         if (info.kind == interp::CommitKind::Io) {
             out_.push_back(arch::IoRecord{info.addr, info.storeValue,
                                           0, info.core});
@@ -80,8 +37,287 @@ class IoCollectingSink final : public interp::CommitSink
 
   private:
     std::vector<arch::IoRecord> &out_;
-    interp::CommitSink *inner_;
 };
+
+/**
+ * The execution driver of every run mode: interpreted cores under the
+ * min-clock scheduler, or the commit-stream cursor, advanced from stop
+ * tick to stop tick. A recording driver (capture passes and crash
+ * epochs) is also the cores' commit sink: it forwards every commit to
+ * the scheme and keeps the bundle's boundary-snapshot window, the
+ * control snapshots of each core's last 4 x RBT-capacity + 16
+ * regions, fed from live interpreters and stream frames alike.
+ */
+class Driver final : public interp::CommitSink
+{
+  public:
+    /** @param bundle crash-recording target; null for a plain run.
+     *  @param max_instrs step budget of the run, all cores together. */
+    Driver(arch::Scheme &scheme, interp::SparseMemory &memory,
+           RecordingBundle *bundle, std::size_t n,
+           std::uint64_t max_instrs)
+        : scheme_(scheme), memory_(memory), bundle_(bundle),
+          keep_(4 * scheme.config().rbtCapacity + 16),
+          maxInstrs_(max_instrs), finishedAt_(n, kTickNever)
+    {
+    }
+    // Interpreters commit to this object by address.
+    Driver(const Driver &) = delete;
+    Driver &operator=(const Driver &) = delete;
+
+    /** Interpreted cores; null for a core done before this segment. */
+    Cores cores;
+
+    /** Where interpreted cores commit: this driver when recording,
+     *  else straight to the scheme. */
+    interp::CommitSink &
+    sink()
+    {
+        if (bundle_)
+            return *this;
+        return scheme_;
+    }
+
+    /** Start one interpreted core per thread at its entry. */
+    void
+    startFresh(const ir::Module &module,
+               const std::vector<ThreadSpec> &threads)
+    {
+        for (std::size_t c = 0; c < threads.size(); ++c) {
+            cores.push_back(std::make_unique<interp::Interpreter>(
+                module, memory_, static_cast<CoreId>(c)));
+            cores[c]->start(threads[c].entry, threads[c].args, sink());
+        }
+    }
+
+    /** Drive core 0 from @p stream instead of interpreting. */
+    void replay(const CommitStream &stream) { stream_ = &stream; }
+
+    /** Run until no unfinished core's next step starts by @p stop. */
+    void
+    advance(Tick stop)
+    {
+        if (stream_)
+            runStream(stop);
+        else
+            runCores(stop);
+    }
+
+    /** Where the run stands; @p exact also keeps each running core's
+     *  exact control state (battery-backed schemes). */
+    ExecPosition position(bool exact) const;
+
+    void
+    onCommit(const interp::CommitInfo &info) override
+    {
+        scheme_.onCommit(info);
+        if (info.kind == interp::CommitKind::Boundary)
+            openRegion(info.core) = cores[info.core]->snapshot();
+    }
+
+  private:
+    void runCores(Tick stop);
+    void runStream(Tick stop);
+
+    [[noreturn]] void
+    overBudget() const
+    {
+        cwsp_fatal("instruction budget exceeded (", maxInstrs_, ")");
+    }
+
+    /** The snapshot slot of the region @p core just opened. */
+    interp::ControlSnapshot &
+    openRegion(CoreId core)
+    {
+        const RegionId id = scheme_.currentRegion(core);
+        if (window_.size() <= core)
+            window_.resize(core + 1);
+        auto &ring = window_[core];
+        ring.push_back(id);
+        if (ring.size() > keep_) {
+            bundle_->snapshots.erase(ring.front());
+            ring.erase(ring.begin());
+        }
+        return bundle_->snapshots[id];
+    }
+
+    arch::Scheme &scheme_;
+    interp::SparseMemory &memory_;
+    RecordingBundle *bundle_;
+    std::size_t keep_;
+    std::uint64_t maxInstrs_;
+    std::vector<std::vector<RegionId>> window_; ///< per core, FIFO
+    const CommitStream *stream_ = nullptr;
+    std::size_t nextOp_ = 0;     ///< cursor: next stream op to apply
+    std::uint64_t retired_ = 0;  ///< steps of a split batch retired
+    std::size_t boundaries_ = 0; ///< Boundary ops applied
+    std::vector<Tick> finishedAt_;
+    std::uint64_t steps_ = 0;
+};
+
+/**
+ * The min-clock scheduler: step the unfinished core with the smallest
+ * clock (the lowest index on a tie) while that clock is at or before
+ * @p stop — kTickNever runs every core to the end, a crash epoch
+ * stops at its failure tick. A run stopped at a tick is a prefix of
+ * the free run, so successive calls with ascending stops reproduce
+ * the free run's schedule exactly. Null cores are skipped; each
+ * core's finish tick is recorded.
+ */
+void
+Driver::runCores(Tick stop)
+{
+    interp::CommitSink &to = sink();
+    auto step = [&](interp::Interpreter &core) {
+        core.step(to);
+        if (++steps_ > maxInstrs_)
+            overBudget();
+    };
+    if (cores.size() == 1 && cores[0]) {
+        // Single-core fast path: the min-clock scan below always
+        // selects the only core, so skip it (it is measurable at this
+        // loop's trip count).
+        interp::Interpreter &core = *cores[0];
+        while (!core.finished() && scheme_.cycles(0) <= stop)
+            step(core);
+        if (core.finished() && finishedAt_[0] == kTickNever)
+            finishedAt_[0] = scheme_.cycles(0);
+        return;
+    }
+    while (true) {
+        // Run the core with the smallest clock next (deterministic
+        // interleaving for shared-memory workloads).
+        interp::Interpreter *next = nullptr;
+        Tick best = kTickNever;
+        for (std::size_t c = 0; c < cores.size(); ++c) {
+            if (!cores[c])
+                continue;
+            const Tick t = scheme_.cycles(static_cast<CoreId>(c));
+            if (cores[c]->finished()) {
+                if (finishedAt_[c] == kTickNever)
+                    finishedAt_[c] = t;
+            } else if (t <= stop && t < best) {
+                best = t;
+                next = cores[c].get();
+            }
+        }
+        if (!next)
+            return;
+        step(*next);
+    }
+}
+
+/**
+ * The commit-stream cursor: drive the scheme, its hierarchy and the
+ * functional memory from the stream on core 0, resuming where the
+ * last stop left off, and record core 0's finish once the stream is
+ * exhausted. It cuts like the scheduler: a step runs iff its start
+ * cycle is at or before @p stop. Every batched step costs `per`
+ * cycles, so a batch splits after (stop - c) / per + 1 steps, and
+ * because retireBatch is purely additive, the rest of a split batch
+ * lands every later step on the cycles one uncut retirement would.
+ */
+void
+Driver::runStream(Tick stop)
+{
+    constexpr CoreId core = 0;
+    const bool cut = stop != kTickNever;
+    // Loop state lives in locals: the scheme calls below are opaque,
+    // and members would round-trip through memory on every op.
+    const CommitStream::Op *const first = stream_->ops.data();
+    const CommitStream::Op *const last = first + stream_->ops.size();
+    const CommitStream::Op *op = first + nextOp_;
+    std::uint64_t steps = steps_;
+    for (; op != last; ++op) {
+        if (op->kind == CommitStream::kBatch1 ||
+            op->kind == CommitStream::kBatch2) {
+            const Tick per = op->kind == CommitStream::kBatch1 ? 1 : 2;
+            std::uint64_t run = op->aux - retired_;
+            if (cut) {
+                const Tick c = scheme_.cycles(core);
+                if (c > stop)
+                    break;
+                if (c + (run - 1) * per > stop) // the stop splits it
+                    run = (stop - c) / per + 1;
+            }
+            steps += run;
+            if (steps > maxInstrs_)
+                overBudget();
+            scheme_.retireBatch(core, run, static_cast<Tick>(run) * per);
+            retired_ += run;
+            if (retired_ < op->aux)
+                break;
+            retired_ = 0;
+            continue;
+        }
+
+        if (op->flags & CommitStream::kFlagNewStep) {
+            if (cut && scheme_.cycles(core) > stop)
+                break;
+            if (++steps > maxInstrs_)
+                overBudget();
+        }
+
+        interp::CommitInfo info;
+        info.kind = static_cast<interp::CommitKind>(op->kind);
+        info.core = core;
+        info.addr = op->addr;
+        info.storeValue = op->value;
+        info.isCheckpoint = (op->flags & CommitStream::kFlagCkpt) != 0;
+        info.func = op->func;
+        if (info.kind == interp::CommitKind::Boundary)
+            info.staticRegion = op->aux;
+        // The interpreter writes memory before the sink callback.
+        if (info.kind == interp::CommitKind::Store ||
+            info.kind == interp::CommitKind::Atomic) {
+            memory_.write(op->addr, op->value);
+        }
+        scheme_.onCommit(info);
+        if (info.kind == interp::CommitKind::Boundary) {
+            if (bundle_) {
+                // The stream's flattened frames stand in for the
+                // interpreter's snapshot.
+                const CommitStream::SnapRef &ref =
+                    stream_->snapRefs[boundaries_];
+                const auto from = stream_->frames.begin() + ref.begin;
+                openRegion(core).frames.assign(from, from + ref.count);
+            }
+            ++boundaries_;
+        }
+    }
+    nextOp_ = static_cast<std::size_t>(op - first);
+    steps_ = steps;
+    if (op == last)
+        finishedAt_[core] = scheme_.cycles(core);
+}
+
+ExecPosition
+Driver::position(bool exact) const
+{
+    const std::size_t n = finishedAt_.size();
+    ExecPosition pos;
+    pos.steps = steps_;
+    pos.finishedAt = finishedAt_;
+    pos.coreReturns.assign(n, 0);
+    pos.coreFinished.assign(n, 0);
+    if (exact)
+        pos.exactSnaps.resize(n);
+    for (std::size_t c = 0; c < n; ++c) {
+        if (!stream_ && !cores[c])
+            pos.finishedAt[c] = 0; // done before this segment
+        const bool done = pos.finishedAt[c] != kTickNever;
+        pos.coreFinished[c] = done;
+        if (stream_) {
+            if (done)
+                pos.coreReturns[c] = stream_->returnValue;
+        } else if (cores[c]) {
+            pos.coreReturns[c] = cores[c]->returnValue();
+            if (exact && !done)
+                pos.exactSnaps[c] = cores[c]->exactSnapshot();
+        }
+    }
+    return pos;
+}
 
 } // namespace
 
@@ -146,31 +382,6 @@ tileRecoveryWindow(Tick window, std::uint64_t replay_records,
         slice;
     b.phase[static_cast<std::size_t>(RecoveryPhase::Resume)] = 0;
     return b;
-}
-
-/** Emit one RecoveryPhase span per non-empty phase, tiling
- *  [crash_at, crash_at + window) in phase order. */
-void
-traceRecoveryPhases(sim::TraceBuffer *trace, Tick crash_at,
-                    const RecoveryBreakdown &b)
-{
-    if (!trace)
-        return;
-    Tick at = crash_at;
-    for (std::size_t p = 0; p < kNumRecoveryPhases; ++p) {
-        std::uint64_t items = 0;
-        if (p == static_cast<std::size_t>(RecoveryPhase::UndoReplay))
-            items = b.replayRecords;
-        else if (p ==
-                 static_cast<std::size_t>(RecoveryPhase::SliceReexec))
-            items = b.sliceOps;
-        if (b.phase[p] == 0 &&
-            p != static_cast<std::size_t>(RecoveryPhase::Resume))
-            continue;
-        trace->record(sim::TraceEventKind::RecoveryPhase,
-                      sim::coreLane(0), at, b.phase[p], p, items);
-        at += b.phase[p];
-    }
 }
 
 } // namespace
@@ -372,17 +583,6 @@ WholeSystemSim::attachTraceSink(sim::TraceSink *sink)
 }
 
 RunResult
-WholeSystemSim::collectStats(
-    const std::vector<std::unique_ptr<interp::Interpreter>> &cores)
-{
-    std::vector<Word> rvs;
-    rvs.reserve(cores.size());
-    for (const auto &core : cores)
-        rvs.push_back(core->returnValue());
-    return collectStats(rvs);
-}
-
-RunResult
 WholeSystemSim::collectStats(const std::vector<Word> &return_values)
 {
     RunResult r;
@@ -392,7 +592,6 @@ WholeSystemSim::collectStats(const std::vector<Word> &return_values)
         r.instructions += scheme_->instrs(static_cast<CoreId>(c));
         r.returnValues.push_back(return_values[c]);
     }
-    lastCycles_ = r.cycles;
     r.meanRegionInstrs = scheme_->meanRegionInstrs();
     r.meanWbOccupancy = hierarchy_->meanWbOccupancy();
     r.wpqHits = hierarchy_->wpqHits();
@@ -418,53 +617,10 @@ WholeSystemSim::run(const std::vector<ThreadSpec> &threads,
                     threads.size() <= config_.numCores,
                 "thread count must be in [1, numCores]");
     reset();
-
-    std::vector<std::unique_ptr<interp::Interpreter>> cores;
-    for (std::size_t c = 0; c < threads.size(); ++c) {
-        cores.push_back(std::make_unique<interp::Interpreter>(
-            *module_, *memory_, static_cast<CoreId>(c)));
-        cores[c]->start(threads[c].entry, threads[c].args, *scheme_);
-    }
-
-    std::uint64_t total = 0;
-    if (cores.size() == 1) {
-        // Single-core fast path: the min-clock scan below always
-        // selects the only core, so skip it (it is measurable at this
-        // loop's trip count).
-        interp::Interpreter &core = *cores[0];
-        while (!core.finished()) {
-            core.step(*scheme_);
-            if (++total > max_instrs)
-                cwsp_fatal("instruction budget exceeded (", max_instrs,
-                           ")");
-        }
-        return collectStats(cores);
-    }
-    while (true) {
-        // Run the core with the smallest clock next (deterministic
-        // interleaving for shared-memory workloads).
-        interp::Interpreter *next = nullptr;
-        Tick best = kTickNever;
-        CoreId best_core = 0;
-        for (std::size_t c = 0; c < cores.size(); ++c) {
-            if (cores[c]->finished())
-                continue;
-            Tick t = scheme_->cycles(static_cast<CoreId>(c));
-            if (t < best) {
-                best = t;
-                next = cores[c].get();
-                best_core = static_cast<CoreId>(c);
-            }
-        }
-        (void)best_core;
-        if (!next)
-            break;
-        next->step(*scheme_);
-        if (++total > max_instrs)
-            cwsp_fatal("instruction budget exceeded (", max_instrs,
-                       ")");
-    }
-    return collectStats(cores);
+    Driver driver(*scheme_, *memory_, nullptr, threads.size(), max_instrs);
+    driver.startFresh(*module_, threads);
+    driver.advance(kTickNever);
+    return collectStats(driver.position(false).coreReturns);
 }
 
 RunResult
@@ -474,96 +630,145 @@ WholeSystemSim::runReplay(const CommitStream &stream,
     cwsp_assert(stream.module == module_,
                 "commit stream recorded for a different module");
     reset();
-    ReplayOutcome ro =
-        replaySegment(stream, kTickNever, nullptr, 0, max_instrs);
-    cwsp_assert(ro.finished, "uncut replay must reach stream end");
-    return collectStats(std::vector<Word>{stream.returnValue});
+    Driver driver(*scheme_, *memory_, nullptr, 1, max_instrs);
+    driver.replay(stream);
+    driver.advance(kTickNever);
+    const ExecPosition pos = driver.position(false);
+    cwsp_assert(pos.coreFinished[0], "uncut replay must reach stream end");
+    return collectStats(pos.coreReturns);
 }
 
-WholeSystemSim::ReplayOutcome
-WholeSystemSim::replaySegment(const CommitStream &stream, Tick crash_dt,
-                              RecordingBundle *bundle, std::size_t keep,
-                              std::uint64_t max_instrs)
+ExecSource
+WholeSystemSim::chooseSource(const std::vector<ThreadSpec> &threads,
+                             const CommitStream *stream,
+                             const SimCheckpoint *fork, Tick tick,
+                             SourceRefusal *refusal) const
 {
-    const bool cut = crash_dt != kTickNever;
-    arch::Scheme &sch = *scheme_;
-    constexpr CoreId core = 0;
-    ReplayOutcome ro;
-    std::size_t boundary_idx = 0;
-    std::vector<RegionId> ring; // snapshot prune window (FIFO)
-
-    for (const CommitStream::Op &op : stream.ops) {
-        if (op.kind == CommitStream::kBatch1 ||
-            op.kind == CommitStream::kBatch2) {
-            const Tick per =
-                op.kind == CommitStream::kBatch1 ? 1 : 2;
-            std::uint64_t run = op.aux;
-            if (cut) {
-                // Same cut rule as the interpreted epoch loop: a step
-                // executes iff its start cycle has not passed the
-                // crash instant; every batched step costs `per`.
-                Tick c = sch.cycles(core);
-                run = c > crash_dt
-                          ? 0
-                          : std::min<std::uint64_t>(
-                                op.aux, (crash_dt - c) / per + 1);
-            }
-            ro.steps += run;
-            if (ro.steps > max_instrs)
-                cwsp_fatal("instruction budget exceeded (",
-                           max_instrs, ")");
-            sch.retireBatch(core, run, static_cast<Tick>(run) * per);
-            if (run < op.aux)
-                return ro; // crash inside the batch
-            continue;
-        }
-
-        if (op.flags & CommitStream::kFlagNewStep) {
-            if (cut && sch.cycles(core) > crash_dt)
-                return ro;
-            if (++ro.steps > max_instrs)
-                cwsp_fatal("instruction budget exceeded (",
-                           max_instrs, ")");
-        }
-
-        interp::CommitInfo info;
-        info.kind = static_cast<interp::CommitKind>(op.kind);
-        info.core = core;
-        info.addr = op.addr;
-        info.storeValue = op.value;
-        info.isCheckpoint = (op.flags & CommitStream::kFlagCkpt) != 0;
-        info.func = op.func;
-        if (info.kind == interp::CommitKind::Boundary)
-            info.staticRegion = op.aux;
-        // The interpreter writes memory before the sink callback.
-        if (info.kind == interp::CommitKind::Store ||
-            info.kind == interp::CommitKind::Atomic) {
-            memory_->write(op.addr, op.value);
-        }
-        sch.onCommit(info);
-        if (info.kind == interp::CommitKind::Boundary) {
-            if (bundle) {
-                // Mirror RecordingSink's snapshot window from the
-                // stream's flattened frames.
-                RegionId id = sch.currentRegion(core);
-                const CommitStream::SnapRef &ref =
-                    stream.snapRefs[boundary_idx];
-                auto &snap = bundle->snapshots[id];
-                snap.frames.assign(
-                    stream.frames.begin() + ref.begin,
-                    stream.frames.begin() + ref.begin + ref.count);
-                ring.push_back(id);
-                if (ring.size() > keep) {
-                    bundle->snapshots.erase(ring.front());
-                    ring.erase(ring.begin());
-                }
-            }
-            ++boundary_idx;
-        }
+    using R = SourceRefusal;
+    R unused;
+    R &why = refusal ? *refusal : unused;
+    why = R::None;
+    // A fork is only sound when the checkpoint describes exactly this
+    // run: same program, configuration, thread set, and first crash
+    // tick. An external trace sink must observe the prefix events
+    // (which a fork skips), and an attached trace ring or sampler must
+    // match the captured geometry.
+    if (fork) {
+        if (fork->module != module_)
+            why = R::Module;
+        else if (fork->configKey != systemConfigKey(config_))
+            why = R::Config;
+        else if (fork->threads != threads)
+            why = R::Threads;
+        else if (fork->crashTick != tick)
+            why = R::Tick;
+        else if (sink_)
+            why = R::TraceSink;
+        else if (trace_ && (!fork->hasTrace ||
+                            fork->traceCapacity != trace_->capacity() ||
+                            fork->traceMask != trace_->mask()))
+            why = R::TraceGeometry;
+        else if (sampler_ &&
+                 (!fork->hasSampler ||
+                  fork->samplerPeriod != sampler_->period() ||
+                  fork->samplerTracks != sampler_->trackCount()))
+            why = R::SamplerGeometry;
+        else
+            return ExecSource::Fork;
     }
-    ro.finished = true;
-    ro.finishedAt = sch.cycles(core);
-    return ro;
+    if (!stream)
+        return ExecSource::Interpret;
+    // A stream is the commit sequence of one single-threaded program,
+    // and battery-backed crash handling snapshots live interpreter
+    // state.
+    R streamWhy = R::None;
+    if (threads.size() != 1)
+        streamWhy = R::Multicore;
+    else if (config_.scheme.batteryBacked)
+        streamWhy = R::BatteryBacked;
+    else if (!stream->matches(*module_, threads[0].entry, threads[0].args))
+        streamWhy = stream->module != module_ ? R::Module : R::Threads;
+    if (streamWhy == R::None)
+        return ExecSource::Stream;
+    if (why == R::None)
+        why = streamWhy;
+    return ExecSource::Interpret;
+}
+
+void
+WholeSystemSim::startRecording(RecordingBundle &bundle,
+                               std::uint64_t max_instrs,
+                               const CommitStream *stream)
+{
+    std::uint64_t expected = expectedInstrs_;
+    if (expected == 0 && stream)
+        expected = stream->steps;
+    scheme_->enableRecording(
+        &bundle.stores, &bundle.regions, &bundle.io,
+        expected != 0 ? std::min(max_instrs, 2 * expected)
+                      : max_instrs);
+}
+
+std::shared_ptr<const SimCheckpoint>
+WholeSystemSim::checkpointAt(Tick tick,
+                             const std::vector<ThreadSpec> &threads,
+                             const RecordingBundle &bundle,
+                             ExecPosition position)
+{
+    auto ck = std::make_shared<SimCheckpoint>();
+    ck->module = module_;
+    ck->configKey = systemConfigKey(config_);
+    ck->threads = threads;
+    ck->crashTick = tick;
+    ck->position = std::move(position);
+    ck->bundle = std::make_shared<RecordingBundle>(bundle);
+    sim::StateWriter w(ck->componentBytes);
+    scheme_->captureState(w);
+    hierarchy_->captureState(w);
+    if (trace_) {
+        ck->hasTrace = true;
+        ck->traceCapacity = trace_->capacity();
+        ck->traceMask = trace_->mask();
+        sim::StateWriter tw(ck->traceBytes);
+        trace_->captureState(tw);
+    }
+    if (sampler_) {
+        ck->hasSampler = true;
+        ck->samplerPeriod = sampler_->period();
+        ck->samplerTracks = sampler_->trackCount();
+        sim::StateWriter sw(ck->samplerBytes);
+        sampler_->captureState(sw);
+    }
+    // The battery crash handler reads the live memory.
+    if (config_.scheme.batteryBacked)
+        ck->memory = std::make_unique<interp::SparseMemory>(*memory_);
+    return ck;
+}
+
+void
+WholeSystemSim::restoreCheckpoint(const SimCheckpoint &ckpt)
+{
+    // Battery-backed schemes also need the exact capture-instant
+    // memory image (the non-battery crash path reconstructs durable
+    // state from the bundle alone).
+    if (ckpt.memory)
+        memory_ = std::make_unique<interp::SparseMemory>(*ckpt.memory);
+    // reset() rebuilt the component tree with identical
+    // configuration, so the positional protocol lines up.
+    sim::StateReader r(ckpt.componentBytes);
+    scheme_->restoreState(r);
+    hierarchy_->restoreState(r);
+    cwsp_assert(r.exhausted(), "checkpoint component bytes mismatch");
+    if (trace_ && ckpt.hasTrace) {
+        sim::StateReader tr(ckpt.traceBytes);
+        bool ok = trace_->restoreState(tr);
+        cwsp_assert(ok, "trace geometry was gated before fork");
+    }
+    if (sampler_ && ckpt.hasSampler) {
+        sim::StateReader sr(ckpt.samplerBytes);
+        bool ok = sampler_->restoreState(sr);
+        cwsp_assert(ok, "sampler geometry was gated before fork");
+    }
 }
 
 void
@@ -687,6 +892,107 @@ struct EpochEntry
     Word returnValue = 0; ///< Done only
 };
 
+/**
+ * What recovery carries from one failure into the next epoch: the
+ * durable NVM image, the stamped checkpoint-slot image of the latest
+ * failure, and each core's entry action.
+ */
+struct Recovered
+{
+    explicit Recovered(std::size_t n) : entries(n) {}
+
+    /** Degrade to a full restart: pristine memory, every core Fresh. */
+    void
+    restartAll()
+    {
+        durable.clear();
+        pristine = true;
+        slotImage.clear();
+        for (auto &e : entries)
+            e = EpochEntry{};
+    }
+
+    interp::SparseMemory durable;
+    /** Empty durable image and every core Fresh: the program start,
+     *  or a full restart. */
+    bool pristine = true;
+    std::map<Addr, SlotImageEntry> slotImage;
+    std::vector<EpochEntry> entries;
+};
+
+/** Committed instructions when @p region began (0: not recorded). */
+std::uint64_t
+instrsAtBegin(const RecordingBundle &bundle, RegionId region)
+{
+    for (const auto &ev : bundle.regions) {
+        if (ev.region == region)
+            return ev.instrsAtBegin;
+    }
+    return 0;
+}
+
+/** Trace a core's post-crash start: from its entry (@p fresh), or
+ *  continuing its exact crash-instant state. */
+void
+traceResume(sim::TraceBuffer *trace, CoreId core, Tick when, bool fresh)
+{
+    if (trace) {
+        trace->record(sim::TraceEventKind::RecoveryResume,
+                      sim::coreLane(core), when, 0, 0, fresh ? 1 : 0);
+    }
+}
+
+/**
+ * The epoch-entry core start: a Fresh core begins at its thread's
+ * entry, a Continue core at its exact crash-instant state, a Resume
+ * core runs its recovery slice (an atomic resume steps over the
+ * boundary into @p boundary_sink); a Done core gets no interpreter.
+ * @p trace (null before the first failure) records the resumes at
+ * @p when. False when a slice caught a checkpoint slot the media
+ * dropped: the caller degrades to a full restart.
+ */
+bool
+startCores(Cores &cores, const std::vector<ThreadSpec> &threads,
+           const Recovered &rec, const ir::Module &module,
+           interp::SparseMemory &memory, interp::CommitSink &sink,
+           interp::CommitSink *boundary_sink, sim::TraceBuffer *trace,
+           Tick when, fault::FaultStats &faults)
+{
+    cores.clear();
+    for (std::size_t c = 0; c < threads.size(); ++c) {
+        const EpochEntry &e = rec.entries[c];
+        const auto cid = static_cast<CoreId>(c);
+        if (e.kind == EpochEntry::Kind::Done) {
+            cores.push_back(nullptr);
+            continue;
+        }
+        cores.push_back(
+            std::make_unique<interp::Interpreter>(module, memory, cid));
+        interp::Interpreter &core = *cores.back();
+        if (e.kind == EpochEntry::Kind::Fresh) {
+            traceResume(trace, cid, when, true);
+            core.start(threads[c].entry, threads[c].args, sink);
+        } else if (e.kind == EpochEntry::Kind::Continue) {
+            core.restoreExact(e.exact);
+            traceResume(trace, cid, when, false);
+        } else {
+            ResumeStatus st = prepareResume(
+                core, e.rp, *e.bundle, module, trace, when, boundary_sink,
+                rec.slotImage.empty() ? nullptr : &rec.slotImage);
+            if (st == ResumeStatus::SlotFault) {
+                ++faults.staleSlotsDetected;
+                ++faults.fullRestarts;
+                return false;
+            }
+            cwsp_assert(st == ResumeStatus::Resumed,
+                        "resume entry cannot need a restart");
+            if (e.rp.resumeAfterAtomic)
+                ++faults.atomicResumes;
+        }
+    }
+    return true;
+}
+
 } // namespace
 
 CrashRunResult
@@ -707,51 +1013,20 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
     cwsp_assert(!schedule.empty(),
                 "crash schedule must hold at least one failure");
     const std::size_t n = threads.size();
-
-    // A fork is only sound when the checkpoint describes exactly this
-    // run: same program, scheme, thread set, and first crash tick. An
-    // external trace sink must observe the prefix events (which a
-    // fork skips), and an attached trace ring must match the captured
-    // geometry; any mismatch falls back to from-scratch execution.
-    if (fork) {
-        bool usable = fork->module == module_ &&
-                      fork->schemeName == config_.scheme.name &&
-                      fork->threads.size() == n &&
-                      fork->crashTick == schedule.ticks[0] && !sink_;
-        for (std::size_t c = 0; usable && c < n; ++c) {
-            usable = fork->threads[c].entry == threads[c].entry &&
-                     fork->threads[c].args == threads[c].args;
-        }
-        if (trace_ &&
-            (!fork->hasTrace ||
-             fork->traceCapacity != trace_->capacity() ||
-             fork->traceMask != trace_->mask())) {
-            usable = false;
-        }
-        if (sampler_ &&
-            (!fork->hasSampler ||
-             fork->samplerPeriod != sampler_->period() ||
-             fork->samplerTracks != sampler_->trackCount())) {
-            usable = false;
-        }
-        if (!usable)
-            fork = nullptr;
-    }
-
     CrashRunResult out;
     out.crashTick = schedule.ticks[0];
+    out.source = chooseSource(threads, replay, fork, schedule.ticks[0],
+                              &out.refusal);
+    // Whether a pristine epoch after the first (a full-restart retry)
+    // and the final tail may use the stream.
+    const bool streamOk =
+        chooseSource(threads, replay, nullptr, 0) == ExecSource::Stream;
 
-    // Epoch state: the durable NVM image, the stamped checkpoint-slot
-    // image of the latest failure, and each core's entry action.
-    interp::SparseMemory durable;
-    bool durableEmpty = true;
-    std::map<Addr, SlotImageEntry> slotImage;
-    std::vector<EpochEntry> entries(n);
+    Recovered rec(n);
     std::size_t scheduleIdx = 0;
     bool havePending = true;
     Tick pendingDt = schedule.ticks[0];
     bool firstEpoch = true;
-    std::size_t keep = 4 * config_.scheme.rbtCapacity + 16;
 
     while (havePending) {
         // ---- Timed execution epoch, failure at epoch tick
@@ -759,354 +1034,112 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
         // loss empties every volatile structure) over the recovered
         // durable image.
         reset();
-        // The first epoch of a forked sweep restores the checkpoint
-        // instead of executing the pre-crash prefix. Later epochs
-        // (nested crashes) always execute normally.
-        const bool forkEpoch = fork != nullptr && firstEpoch;
-        std::shared_ptr<RecordingBundle> rec; // mutable; !forkEpoch
+        ExecPosition pos;
         std::shared_ptr<const RecordingBundle> bundle;
-        if (forkEpoch) {
-            // The checkpoint's bundle copy stands in for this epoch's
-            // recording; battery-backed schemes also need the exact
-            // capture-instant memory image (the non-battery crash
-            // path reconstructs durable state from the bundle alone).
+        if (firstEpoch && out.source == ExecSource::Fork) {
+            // The first epoch of a forked sweep restores the checkpoint
+            // instead of executing the pre-crash prefix; its bundle
+            // copy stands in for this epoch's recording. Later epochs
+            // (nested crashes) always execute.
+            restoreCheckpoint(*fork);
             bundle = fork->bundle;
-            memory_ = fork->memory
-                          ? std::make_unique<interp::SparseMemory>(
-                                *fork->memory)
-                          : std::make_unique<interp::SparseMemory>();
+            pos = fork->position;
         } else {
-            memory_ = std::make_unique<interp::SparseMemory>(durable);
-            rec = std::make_shared<RecordingBundle>();
-            bundle = rec;
-            // Tightest available instruction estimate for log
-            // reserves: caller hint, else the stream's exact count,
-            // else the budget.
-            std::uint64_t expected = expectedInstrs_;
-            if (expected == 0 && replay)
-                expected = replay->steps;
-            scheme_->enableRecording(
-                &rec->stores, &rec->regions, &rec->io,
-                expected != 0 ? std::min(max_instrs, 2 * expected)
-                              : max_instrs);
-        }
-
-        // A pristine-start epoch on one core (the first epoch, and
-        // every full-restart retry) commits exactly the recorded
-        // stream until the crash, so the timing models can be driven
-        // from the stream directly — identical commit sequence,
-        // identical bundle/stats/trace — with no interpretation.
-        // Battery-backed schemes are excluded: their crash handling
-        // snapshots live interpreter state.
-        const bool replayEpoch =
-            !forkEpoch && replay && n == 1 &&
-            !config_.scheme.batteryBacked &&
-            entries[0].kind == EpochEntry::Kind::Fresh &&
-            durableEmpty && slotImage.empty() &&
-            replay->matches(*module_, threads[0].entry,
-                            threads[0].args);
-
-        std::vector<std::unique_ptr<interp::Interpreter>> cores;
-        cores.reserve(n);
-        std::vector<Tick> finished_at(n, kTickNever);
-        std::vector<Word> coreReturns(n, 0);
-        std::uint64_t total = 0;
-
-        if (forkEpoch) {
-            // Restore the capture-instant component state onto the
-            // freshly reset tree (reset() rebuilt it with identical
-            // configuration, so the positional protocol lines up).
-            sim::StateReader r(fork->componentBytes);
-            scheme_->restoreState(r);
-            hierarchy_->restoreState(r);
-            cwsp_assert(r.exhausted(),
-                        "checkpoint component bytes mismatch");
-            if (trace_ && fork->hasTrace) {
-                sim::StateReader tr(fork->traceBytes);
-                bool ok = trace_->restoreState(tr);
-                cwsp_assert(ok,
-                            "trace geometry was gated before fork");
-                (void)ok;
+            memory_ = std::make_unique<interp::SparseMemory>(rec.durable);
+            auto recording = std::make_shared<RecordingBundle>();
+            startRecording(*recording, max_instrs, replay);
+            Driver driver(*scheme_, *memory_, recording.get(), n,
+                          max_instrs);
+            sim::TraceBuffer *resumeTrace = firstEpoch ? nullptr : trace_;
+            if (streamOk && rec.pristine) {
+                // A pristine-start epoch (the first epoch, and every
+                // full-restart retry) commits exactly the recorded
+                // stream until the crash, so the timing models are
+                // driven from the stream directly — identical commit
+                // sequence, bundle, stats and trace — with no
+                // interpretation.
+                traceResume(resumeTrace, 0, 0, true);
+                driver.replay(*replay);
+            } else if (!startCores(driver.cores, threads, rec, *module_,
+                                   *memory_, driver, &driver,
+                                   resumeTrace, 0, out.faults)) {
+                // Retry this epoch from a full restart.
+                rec.restartAll();
+                continue;
             }
-            if (sampler_ && fork->hasSampler) {
-                sim::StateReader sr(fork->samplerBytes);
-                bool ok = sampler_->restoreState(sr);
-                cwsp_assert(ok,
-                            "sampler geometry was gated before fork");
-                (void)ok;
-            }
-            finished_at = fork->finishedAt;
-            coreReturns = fork->coreReturns;
-            total = fork->steps;
-        } else if (replayEpoch) {
-            if (!firstEpoch && trace_) {
-                trace_->record(sim::TraceEventKind::RecoveryResume,
-                               sim::coreLane(0), 0, 0, 0, 1);
-            }
-            ReplayOutcome ro = replaySegment(*replay, pendingDt,
-                                             rec.get(), keep,
-                                             max_instrs);
-            total = ro.steps;
-            if (ro.finished) {
-                finished_at[0] = ro.finishedAt;
-                coreReturns[0] = replay->returnValue;
-            }
+            driver.advance(pendingDt);
+            pos = driver.position(config_.scheme.batteryBacked);
             if (!firstEpoch)
-                out.reexecutedInstrs += total;
-        } else {
-        RecordingSink sink(*scheme_, *rec, cores, keep);
-        bool slotFault = false;
-        for (std::size_t c = 0; c < n; ++c) {
-            if (entries[c].kind == EpochEntry::Kind::Done) {
-                cores.push_back(nullptr);
-                continue;
-            }
-            cores.push_back(std::make_unique<interp::Interpreter>(
-                *module_, *memory_, static_cast<CoreId>(c)));
-            if (entries[c].kind == EpochEntry::Kind::Fresh) {
-                if (!firstEpoch && trace_) {
-                    trace_->record(
-                        sim::TraceEventKind::RecoveryResume,
-                        sim::coreLane(static_cast<CoreId>(c)), 0, 0,
-                        0, 1);
-                }
-                cores[c]->start(threads[c].entry, threads[c].args,
-                                sink);
-                continue;
-            }
-            if (entries[c].kind == EpochEntry::Kind::Continue) {
-                cores[c]->restoreExact(entries[c].exact);
-                if (trace_) {
-                    trace_->record(
-                        sim::TraceEventKind::RecoveryResume,
-                        sim::coreLane(static_cast<CoreId>(c)), 0, 0,
-                        0, 0);
-                }
-                continue;
-            }
-            ResumeStatus st = prepareResume(
-                *cores[c], entries[c].rp, *entries[c].bundle,
-                *module_, trace_, 0, &sink,
-                slotImage.empty() ? nullptr : &slotImage);
-            if (st == ResumeStatus::SlotFault) {
-                slotFault = true;
-                break;
-            }
-            cwsp_assert(st == ResumeStatus::Resumed,
-                        "resume entry cannot need a restart");
-            if (entries[c].rp.resumeAfterAtomic)
-                ++out.faults.atomicResumes;
-        }
-        if (slotFault) {
-            // A checkpoint slot the media dropped: the recovery slice
-            // caught the stale value. Degrade to a full restart on
-            // pristine memory and retry this epoch.
-            ++out.faults.staleSlotsDetected;
-            ++out.faults.fullRestarts;
-            durable.clear();
-            durableEmpty = true;
-            slotImage.clear();
-            for (auto &e : entries)
-                e = EpochEntry{};
-            continue;
+                out.reexecutedInstrs += pos.steps;
+            bundle = std::move(recording);
         }
 
-        for (std::size_t c = 0; c < n; ++c) {
-            if (entries[c].kind == EpochEntry::Kind::Done)
-                finished_at[c] = 0;
-        }
-        while (true) {
-            interp::Interpreter *next = nullptr;
-            Tick best = kTickNever;
-            for (std::size_t c = 0; c < n; ++c) {
-                if (!cores[c])
-                    continue;
-                auto cid = static_cast<CoreId>(c);
-                if (cores[c]->finished()) {
-                    if (finished_at[c] == kTickNever)
-                        finished_at[c] = scheme_->cycles(cid);
-                    continue;
-                }
-                Tick t = scheme_->cycles(cid);
-                if (t > pendingDt)
-                    continue; // this core has reached the crash
-                if (t < best) {
-                    best = t;
-                    next = cores[c].get();
-                }
-            }
-            if (!next)
-                break;
-            next->step(sink);
-            if (++total > max_instrs)
-                cwsp_fatal("instruction budget exceeded before crash");
-        }
-        for (std::size_t c = 0; c < n; ++c) {
-            if (cores[c] && cores[c]->finished() &&
-                finished_at[c] == kTickNever) {
-                finished_at[c] =
-                    scheme_->cycles(static_cast<CoreId>(c));
-            }
-            if (cores[c])
-                coreReturns[c] = cores[c]->returnValue();
-        }
-        if (!firstEpoch)
-            out.reexecutedInstrs += total;
-        } // interpreted epoch
-
-        if (config_.scheme.batteryBacked) {
-            // Battery flush (Section II-C): the residual energy
-            // drains the redo buffer and persists the execution
-            // context, so every committed store, buffered device op,
-            // and live register survives the failure. Recovery is an
-            // exact continuation after reboot — no undo replay, no
-            // region re-execution, no lost work.
-            ++out.faults.crashesInjected;
-            if (!firstEpoch)
-                ++out.faults.nestedCrashes;
+        // The durable state at this failure. A battery flush (Section
+        // II-C) spends the residual energy draining the redo buffer
+        // and persisting the execution context, so every committed
+        // store, buffered device op, and live register survives the
+        // failure: recovery is an exact continuation after reboot — no
+        // undo replay, no region re-execution, no lost work.
+        // Undo-logged schemes reconstruct it from the recording,
+        // seeding any media faults bound to this failure.
+        const bool battery = config_.scheme.batteryBacked;
+        CrashState cs;
+        if (battery) {
             if (trace_) {
                 trace_->record(sim::TraceEventKind::CrashInject, 0,
                                pendingDt);
             }
-            durable = *memory_;
-            durableEmpty = false;
-            if (firstEpoch && captureFirstCrash_) {
-                out.hasFirstCrash = true;
-                out.firstFullRestart = false;
-                out.firstDurableImage = durable;
-                out.firstStores = bundle->stores;
-            }
-            out.persistedStores += bundle->stores.size();
-            for (const auto &op : bundle->io)
-                out.ioStream.push_back(op);
-            if (firstEpoch) {
-                bool any_work = false;
-                for (std::size_t c = 0; c < n; ++c) {
-                    bool running =
-                        forkEpoch
-                            ? fork->coreFinished[c] == 0
-                            : (cores[c] && !cores[c]->finished());
-                    any_work |= running;
-                    out.resumeRegions.push_back(
-                        running ? scheme_->currentRegion(
-                                      static_cast<CoreId>(c))
-                                : 0);
-                }
-                out.crashed = any_work;
-                // coreReturns mirrors each core's returnValue() at
-                // the crash instant (restored from the checkpoint on
-                // a forked epoch), so this equals collectStats(cores).
-                out.result = collectStats(coreReturns);
-            }
+            cs.nvm = *memory_;
+            cs.resume.resize(n);
             for (std::size_t c = 0; c < n; ++c) {
-                EpochEntry &e = entries[c];
-                if (e.kind == EpochEntry::Kind::Done)
-                    continue;
-                bool fin = forkEpoch ? fork->coreFinished[c] != 0
-                                     : cores[c]->finished();
-                if (fin) {
-                    Word rv = forkEpoch ? fork->coreReturns[c]
-                                        : cores[c]->returnValue();
-                    e = EpochEntry{};
-                    e.kind = EpochEntry::Kind::Done;
-                    e.returnValue = rv;
-                } else {
-                    auto snap = forkEpoch
-                                    ? fork->exactSnaps[c]
-                                    : cores[c]->exactSnapshot();
-                    e = EpochEntry{};
-                    e.kind = EpochEntry::Kind::Continue;
-                    e.exact = std::move(snap);
-                }
+                cs.resume[c].hasWork = !pos.coreFinished[c];
+                cs.resume[c].region =
+                    scheme_->currentRegion(static_cast<CoreId>(c));
             }
-            const Tick crashAt = pendingDt;
-            ++scheduleIdx;
-            havePending = scheduleIdx < schedule.ticks.size();
-            pendingDt = havePending ? schedule.ticks[scheduleIdx] : 0;
-            Tick window = kBootCycles;
-            while (havePending && pendingDt < window) {
-                // A nested failure inside the boot window: nothing
-                // volatile has been rebuilt yet, so the re-entry is a
-                // pure reboot.
-                ++out.faults.crashesInjected;
-                ++out.faults.nestedCrashes;
-                ++out.faults.recoveryCrashes;
-                if (trace_) {
-                    trace_->record(
-                        sim::TraceEventKind::RecoveryReentry, 0,
-                        pendingDt, 0, scheduleIdx, 0);
-                }
-                ++scheduleIdx;
-                havePending = scheduleIdx < schedule.ticks.size();
-                pendingDt =
-                    havePending ? schedule.ticks[scheduleIdx] : 0;
+            cs.persistedStores = bundle->stores.size();
+            cs.releasedIo = bundle->io;
+        } else {
+            CrashComputeOptions copts;
+            copts.baseNvm = &rec.durable;
+            copts.faults = &faults;
+            copts.crashIndex = static_cast<std::uint32_t>(scheduleIdx);
+            copts.stats = &out.faults;
+            copts.coreDone.resize(n);
+            copts.coreResumed.resize(n);
+            for (std::size_t c = 0; c < n; ++c) {
+                copts.coreDone[c] =
+                    rec.entries[c].kind == EpochEntry::Kind::Done;
+                copts.coreResumed[c] =
+                    rec.entries[c].kind == EpochEntry::Kind::Resume;
             }
-            out.recoveryWindows.push_back(window);
-            {
-                RecoveryBreakdown rb =
-                    tileRecoveryWindow(window, 0, 0);
-                traceRecoveryPhases(trace_, crashAt, rb);
-                out.recoveryBreakdowns.push_back(rb);
-            }
-            if (havePending)
-                pendingDt -= window;
-            firstEpoch = false;
-            continue;
+            copts.trace = trace_;
+            cs = computeCrashState(pendingDt, bundle->stores,
+                                   bundle->regions,
+                                   static_cast<std::uint32_t>(n),
+                                   pos.finishedAt, bundle->io, copts);
         }
-
-        // Compute the durable state at this failure, seeding any
-        // media faults bound to it.
-        CrashComputeOptions copts;
-        copts.baseNvm = &durable;
-        copts.faults = &faults;
-        copts.crashIndex = static_cast<std::uint32_t>(scheduleIdx);
-        copts.stats = &out.faults;
-        copts.coreDone.resize(n);
-        copts.coreResumed.resize(n);
-        for (std::size_t c = 0; c < n; ++c) {
-            copts.coreDone[c] =
-                entries[c].kind == EpochEntry::Kind::Done;
-            copts.coreResumed[c] =
-                entries[c].kind == EpochEntry::Kind::Resume;
-        }
-        copts.trace = trace_;
-        CrashState cs = computeCrashState(
-            pendingDt, bundle->stores, bundle->regions,
-            static_cast<std::uint32_t>(n), finished_at, bundle->io,
-            copts);
         ++out.faults.crashesInjected;
         if (!firstEpoch)
             ++out.faults.nestedCrashes;
 
         if (firstEpoch) {
-            bool any_work = false;
-            for (const auto &rp : cs.resume)
-                any_work |= rp.hasWork;
-            out.crashed = any_work;
             // Lost work: instructions committed past each core's
             // resume point.
             for (std::size_t c = 0; c < n; ++c) {
                 const ResumePoint &rp = cs.resume[c];
-                if (!rp.hasWork) {
-                    out.resumeRegions.push_back(0);
-                    continue;
+                const bool resumes = rp.hasWork && !rp.restart;
+                out.crashed |= rp.hasWork;
+                out.resumeRegions.push_back(resumes ? rp.region : 0);
+                if (rp.hasWork && !battery) {
+                    out.lostWork +=
+                        scheme_->instrs(static_cast<CoreId>(c)) -
+                        (resumes ? instrsAtBegin(*bundle, rp.region) : 0);
                 }
-                out.resumeRegions.push_back(rp.restart ? 0
-                                                       : rp.region);
-                std::uint64_t committed =
-                    scheme_->instrs(static_cast<CoreId>(c));
-                std::uint64_t at_resume = 0;
-                if (!rp.restart) {
-                    for (const auto &ev : bundle->regions) {
-                        if (ev.region == rp.region) {
-                            at_resume = ev.instrsAtBegin;
-                            break;
-                        }
-                    }
-                }
-                out.lostWork += committed - at_resume;
             }
-            out.result = collectStats(coreReturns);
+            // pos mirrors each core at the crash instant (restored
+            // from the checkpoint on a forked epoch), so this equals
+            // collectStats(cores).
+            out.result = collectStats(pos.coreReturns);
             if (captureFirstCrash_) {
                 // Snapshot before the fault plan mutates cs.nvm
                 // (stale-slot injection below): the checker wants the
@@ -1127,7 +1160,7 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
         // Stale-checkpoint-slot injection: drop the newest stamped
         // write to a slot the resume slice will actually load, so the
         // validation path is genuinely exercised.
-        if (!cs.fullRestart) {
+        if (!battery && !cs.fullRestart) {
             for (const auto &f : faults.faultsFor(
                      static_cast<std::uint32_t>(scheduleIdx))) {
                 if (f.kind != fault::FaultKind::StaleCheckpointSlot)
@@ -1173,15 +1206,11 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
 
         // Carry the recovered image and each core's next entry.
         if (cs.fullRestart) {
-            durable.clear();
-            durableEmpty = true;
-            slotImage.clear();
-            for (auto &e : entries)
-                e = EpochEntry{};
+            rec.restartAll();
         } else {
-            durable = std::move(cs.nvm);
-            durableEmpty = false;
-            slotImage = std::move(cs.ckptSlotImage);
+            rec.durable = std::move(cs.nvm);
+            rec.pristine = false;
+            rec.slotImage = std::move(cs.ckptSlotImage);
             std::vector<EpochEntry> nextEntries(n);
             for (std::size_t c = 0; c < n; ++c) {
                 const ResumePoint &rp = cs.resume[c];
@@ -1189,15 +1218,18 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                 if (!rp.hasWork) {
                     e.kind = EpochEntry::Kind::Done;
                     e.returnValue =
-                        entries[c].kind == EpochEntry::Kind::Done
-                            ? entries[c].returnValue
-                            : coreReturns[c];
+                        rec.entries[c].kind == EpochEntry::Kind::Done
+                            ? rec.entries[c].returnValue
+                            : pos.coreReturns[c];
+                } else if (battery) {
+                    e.kind = EpochEntry::Kind::Continue;
+                    e.exact = std::move(pos.exactSnaps[c]);
                 } else if (rp.restart &&
-                           entries[c].kind ==
+                           rec.entries[c].kind ==
                                EpochEntry::Kind::Resume) {
                     // No boundary committed in this epoch: re-resume
                     // at the previous epoch's point, with its bundle.
-                    e = entries[c];
+                    e = rec.entries[c];
                 } else if (rp.restart) {
                     e.kind = EpochEntry::Kind::Fresh;
                 } else {
@@ -1206,150 +1238,106 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                     e.bundle = bundle;
                 }
             }
-            entries = std::move(nextEntries);
+            rec.entries = std::move(nextEntries);
         }
 
-        // Recovery is a timed window: boot + undo replay + slices.
-        Tick window = kBootCycles;
+        // ---- Recovery: a timed window of boot + undo replay + slice
+        // re-execution, for battery-backed schemes boot alone. Nested
+        // failures landing inside it re-enter recovery from scratch.
+        // For an undo replay, reconstruct the durable image exactly as
+        // the interrupted pass left it, run a full second pass over it,
+        // and verify it converges to the same image (the protocol's
+        // idempotence obligation); anywhere else the re-entry is a pure
+        // reboot. The window is then tiled into its phases, traced as
+        // one RecoveryPhase span per non-empty phase.
         std::uint64_t replayRecords = 0;
         std::uint64_t sliceOpsTotal = 0;
         if (!cs.fullRestart) {
             replayRecords = cs.replaySteps.size();
-            window += static_cast<Tick>(replayRecords) *
-                      kCyclesPerReplayRecord;
             for (std::size_t c = 0; c < n; ++c) {
-                if (entries[c].kind != EpochEntry::Kind::Resume)
+                if (rec.entries[c].kind != EpochEntry::Kind::Resume)
                     continue;
                 const ir::Function &fn =
-                    module_->function(entries[c].rp.func);
-                std::uint64_t ops =
-                    fn.recoverySlices()[entries[c].rp.staticRegion]
+                    module_->function(rec.entries[c].rp.func);
+                sliceOpsTotal +=
+                    fn.recoverySlices()[rec.entries[c].rp.staticRegion]
                         .ops.size();
-                sliceOpsTotal += ops;
-                window += static_cast<Tick>(ops) * kCyclesPerSliceOp;
             }
         }
-
-        const Tick crashAt = pendingDt;
-        ++scheduleIdx;
-        havePending = scheduleIdx < schedule.ticks.size();
-        pendingDt = havePending ? schedule.ticks[scheduleIdx] : 0;
-
-        bool replayRan =
-            !cs.fullRestart && !cs.replaySteps.empty();
-        if (replayRan)
+        const Tick window = kBootCycles +
+                            replayRecords * kCyclesPerReplayRecord +
+                            sliceOpsTotal * kCyclesPerSliceOp;
+        if (replayRecords != 0)
             ++out.faults.undoReplayPasses;
-
-        // Nested failures landing inside the recovery window:
-        // recovery re-enters from scratch. Reconstruct the durable
-        // image exactly as the interrupted replay pass left it, run a
-        // full second pass over it, and verify it converges to the
-        // same image (the protocol's idempotence obligation).
-        while (havePending && pendingDt < window) {
+        const auto &ticks = schedule.ticks;
+        for (++scheduleIdx;
+             scheduleIdx < ticks.size() && ticks[scheduleIdx] < window;
+             ++scheduleIdx) {
+            const Tick nested = ticks[scheduleIdx];
             ++out.faults.crashesInjected;
             ++out.faults.nestedCrashes;
             ++out.faults.recoveryCrashes;
             std::size_t k = 0;
-            if (replayRan && pendingDt > kBootCycles) {
-                k = std::min(
-                    cs.replaySteps.size(),
-                    static_cast<std::size_t>(
-                        (pendingDt - kBootCycles) /
-                        kCyclesPerReplayRecord));
+            if (replayRecords != 0 && nested > kBootCycles) {
+                k = std::min(cs.replaySteps.size(),
+                             static_cast<std::size_t>(
+                                 (nested - kBootCycles) /
+                                 kCyclesPerReplayRecord));
             }
             out.faults.partialReplayRecords += k;
             if (trace_) {
                 trace_->record(sim::TraceEventKind::RecoveryReentry,
-                               0, pendingDt, 0, scheduleIdx, k);
+                               0, nested, 0, scheduleIdx, k);
             }
-            if (replayRan) {
-                interp::SparseMemory partial = durable;
-                for (std::size_t i = cs.replaySteps.size();
-                     i-- > k;) {
+            if (replayRecords != 0) {
+                interp::SparseMemory partial = rec.durable;
+                for (std::size_t i = cs.replaySteps.size(); i-- > k;) {
                     partial.write(cs.replaySteps[i].addr,
                                   cs.replaySteps[i].before);
                 }
                 for (const auto &st : cs.replaySteps)
                     partial.write(st.addr, st.after);
-                cwsp_assert(partial.equals(durable),
+                cwsp_assert(partial.equals(rec.durable),
                             "undo replay is not idempotent across a "
                             "nested failure");
                 ++out.faults.undoReplayPasses;
             }
-            ++scheduleIdx;
-            havePending = scheduleIdx < schedule.ticks.size();
-            pendingDt =
-                havePending ? schedule.ticks[scheduleIdx] : 0;
         }
         out.recoveryWindows.push_back(window);
-        {
-            RecoveryBreakdown rb = tileRecoveryWindow(
-                window, replayRecords, sliceOpsTotal);
-            traceRecoveryPhases(trace_, crashAt, rb);
-            out.recoveryBreakdowns.push_back(rb);
+        const RecoveryBreakdown rb =
+            tileRecoveryWindow(window, replayRecords, sliceOpsTotal);
+        out.recoveryBreakdowns.push_back(rb);
+        Tick at = pendingDt;
+        for (std::size_t p = 0; trace_ && p < kNumRecoveryPhases; ++p) {
+            std::uint64_t items = 0;
+            if (p == static_cast<std::size_t>(RecoveryPhase::UndoReplay))
+                items = rb.replayRecords;
+            else if (p ==
+                     static_cast<std::size_t>(RecoveryPhase::SliceReexec))
+                items = rb.sliceOps;
+            if (rb.phase[p] == 0 &&
+                p != static_cast<std::size_t>(RecoveryPhase::Resume))
+                continue;
+            trace_->record(sim::TraceEventKind::RecoveryPhase,
+                           sim::coreLane(0), at, rb.phase[p], p, items);
+            at += rb.phase[p];
         }
-        if (havePending)
-            pendingDt -= window; // epoch-relative crash instant
+        havePending = scheduleIdx < ticks.size();
+        if (havePending) // epoch-relative crash instant
+            pendingDt = ticks[scheduleIdx] - window;
         firstEpoch = false;
     }
 
     // ---- Final epoch: recovery + functional completion on the last
     // recovered image (no further failures scheduled).
-    auto recovered =
-        std::make_unique<interp::SparseMemory>(std::move(durable));
-    IoCollectingSink null_sink(out.ioStream);
-    std::vector<std::unique_ptr<interp::Interpreter>> post(n);
-    bool retry = true;
-    while (retry) {
-        retry = false;
-        for (std::size_t c = 0; c < n; ++c) {
-            if (entries[c].kind == EpochEntry::Kind::Done) {
-                post[c].reset();
-                continue;
-            }
-            post[c] = std::make_unique<interp::Interpreter>(
-                *module_, *recovered, static_cast<CoreId>(c));
-            if (entries[c].kind == EpochEntry::Kind::Fresh) {
-                if (trace_) {
-                    trace_->record(
-                        sim::TraceEventKind::RecoveryResume,
-                        sim::coreLane(static_cast<CoreId>(c)),
-                        out.crashTick, 0, 0, 1);
-                }
-                post[c]->start(threads[c].entry, threads[c].args,
-                               null_sink);
-                continue;
-            }
-            if (entries[c].kind == EpochEntry::Kind::Continue) {
-                post[c]->restoreExact(entries[c].exact);
-                if (trace_) {
-                    trace_->record(
-                        sim::TraceEventKind::RecoveryResume,
-                        sim::coreLane(static_cast<CoreId>(c)),
-                        out.crashTick, 0, 0, 0);
-                }
-                continue;
-            }
-            ResumeStatus st = prepareResume(
-                *post[c], entries[c].rp, *entries[c].bundle,
-                *module_, trace_, out.crashTick, nullptr,
-                slotImage.empty() ? nullptr : &slotImage);
-            if (st == ResumeStatus::SlotFault) {
-                ++out.faults.staleSlotsDetected;
-                ++out.faults.fullRestarts;
-                recovered =
-                    std::make_unique<interp::SparseMemory>();
-                slotImage.clear();
-                for (auto &e : entries)
-                    e = EpochEntry{};
-                retry = true;
-                break;
-            }
-            cwsp_assert(st == ResumeStatus::Resumed,
-                        "resume entry cannot need a restart");
-            if (entries[c].rp.resumeAfterAtomic)
-                ++out.faults.atomicResumes;
-        }
+    memory_ =
+        std::make_unique<interp::SparseMemory>(std::move(rec.durable));
+    IoCollectingSink ioSink(out.ioStream);
+    Cores post;
+    while (!startCores(post, threads, rec, *module_, *memory_, ioSink,
+                       nullptr, trace_, out.crashTick, out.faults)) {
+        rec.restartAll();
+        memory_ = std::make_unique<interp::SparseMemory>();
     }
 
     // Stream-driven completion: after a single healthy (fault-free)
@@ -1359,29 +1347,21 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
     // speculative store — so the re-execution's commit sequence is
     // precisely the recorded stream from the resume region's begin.
     // Apply that suffix directly (stores, device ops, step count)
-    // instead of re-interpreting it. prepareResume above already ran
+    // instead of re-interpreting it. startCores above already ran
     // the recovery slices, so the timed recovery accounting and trace
     // events are identical to the interpreted path.
-    const bool fastTail =
-        replay && n == 1 && schedule.ticks.size() == 1 &&
-        faults.faults.empty() && !config_.scheme.batteryBacked &&
-        replay->matches(*module_, threads[0].entry,
-                        threads[0].args) &&
-        entries[0].kind == EpochEntry::Kind::Resume &&
-        !entries[0].rp.restart && !entries[0].rp.resumeAfterAtomic;
-    if (fastTail) {
+    const EpochEntry &resumed = rec.entries[0];
+    if (streamOk && schedule.ticks.size() == 1 &&
+        faults.faults.empty() &&
+        resumed.kind == EpochEntry::Kind::Resume &&
+        !resumed.rp.restart && !resumed.rp.resumeAfterAtomic) {
         // Commit-unit index of the resume region's begin.
         // instrsAtBegin includes the boundary commit itself, and the
         // restored control snapshot sits AT the boundary, which
         // therefore re-executes as the first resumed step: the replay
         // cut starts one commit earlier.
-        std::uint64_t at_resume = 0;
-        for (const auto &ev : entries[0].bundle->regions) {
-            if (ev.region == entries[0].rp.region) {
-                at_resume = ev.instrsAtBegin;
-                break;
-            }
-        }
+        const std::uint64_t at_resume =
+            instrsAtBegin(*resumed.bundle, resumed.rp.region);
         cwsp_assert(at_resume > 0,
                     "resume region has no recorded begin");
         const std::uint64_t cut = at_resume - 1;
@@ -1405,7 +1385,7 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                     ++tailSteps;
                 if (kind == interp::CommitKind::Store ||
                     kind == interp::CommitKind::Atomic) {
-                    recovered->write(op.addr, op.value);
+                    memory_->write(op.addr, op.value);
                 } else if (kind == interp::CommitKind::Io) {
                     out.ioStream.push_back(
                         arch::IoRecord{op.addr, op.value, 0, 0});
@@ -1416,7 +1396,6 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
         }
         out.reexecutedInstrs += tailSteps;
         out.result.returnValues[0] = replay->returnValue;
-        memory_ = std::move(recovered);
         return out;
     }
 
@@ -1435,7 +1414,7 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
         }
         if (!next)
             break;
-        next->step(null_sink);
+        next->step(ioSink);
         if (++re_instrs > max_instrs)
             cwsp_fatal("instruction budget exceeded during recovery");
     }
@@ -1445,11 +1424,10 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
     // values from wherever each core finally finished.
     for (std::size_t c = 0; c < n; ++c) {
         out.result.returnValues[c] =
-            entries[c].kind == EpochEntry::Kind::Done
-                ? entries[c].returnValue
+            rec.entries[c].kind == EpochEntry::Kind::Done
+                ? rec.entries[c].returnValue
                 : post[c]->returnValue();
     }
-    memory_ = std::move(recovered);
     return out;
 }
 
@@ -1464,244 +1442,32 @@ WholeSystemSim::captureCheckpoints(
                 "thread count must be in [1, numCores]");
     cwsp_assert(std::is_sorted(ticks.begin(), ticks.end()),
                 "crash ticks must be sorted ascending");
-    const std::size_t n = threads.size();
-    const std::size_t keep = 4 * config_.scheme.rbtCapacity + 16;
+    reset();
+    // Recorded like a crash epoch, so each captured prefix is
+    // byte-for-byte what the first epoch would have recorded.
+    RecordingBundle bundle;
+    startRecording(bundle, max_instrs, replay);
+    Driver driver(*scheme_, *memory_, &bundle, threads.size(),
+                  max_instrs);
+    if (chooseSource(threads, replay, nullptr, 0) == ExecSource::Stream)
+        driver.replay(*replay);
+    else
+        driver.startFresh(*module_, threads);
+
+    // The crash-epoch schedule is a prefix of the free-run schedule:
+    // stopping at each tick in turn leaves exactly the state a crash
+    // epoch stops in for a failure at that tick. Ticks at or past
+    // program completion capture the final state.
     CheckpointRun out;
     out.checkpoints.reserve(ticks.size());
-
-    reset();
-    RecordingBundle bundle;
-    // Same reserve sizing as a crash epoch, so the recorded prefix is
-    // identical byte-for-byte to what epoch 1 would have recorded.
-    std::uint64_t expected = expectedInstrs_;
-    if (expected == 0 && replay)
-        expected = replay->steps;
-    scheme_->enableRecording(
-        &bundle.stores, &bundle.regions, &bundle.io,
-        expected != 0 ? std::min(max_instrs, 2 * expected)
-                      : max_instrs);
-
-    // Identity + bundle + component/trace state shared by both
-    // capture modes; per-core execution position is filled by the
-    // mode-specific capture closures.
-    auto baseCheckpoint = [&](Tick tick, std::uint64_t steps) {
-        auto ck = std::make_shared<SimCheckpoint>();
-        ck->module = module_;
-        ck->schemeName = config_.scheme.name;
-        ck->threads = threads;
-        ck->crashTick = tick;
-        ck->steps = steps;
-        ck->bundle = std::make_shared<RecordingBundle>(bundle);
-        sim::StateWriter w(ck->componentBytes);
-        scheme_->captureState(w);
-        hierarchy_->captureState(w);
-        if (trace_) {
-            ck->hasTrace = true;
-            ck->traceCapacity = trace_->capacity();
-            ck->traceMask = trace_->mask();
-            sim::StateWriter tw(ck->traceBytes);
-            trace_->captureState(tw);
-        }
-        if (sampler_) {
-            ck->hasSampler = true;
-            ck->samplerPeriod = sampler_->period();
-            ck->samplerTracks = sampler_->trackCount();
-            sim::StateWriter sw(ck->samplerBytes);
-            sampler_->captureState(sw);
-        }
-        ck->finishedAt.assign(n, kTickNever);
-        ck->coreReturns.assign(n, 0);
-        ck->coreFinished.assign(n, 0);
-        return ck;
-    };
-
-    const bool replayRun =
-        replay && n == 1 && !config_.scheme.batteryBacked &&
-        replay->matches(*module_, threads[0].entry, threads[0].args);
-
-    if (replayRun) {
-        // Stream-driven capture: replaySegment's cut rule, applied
-        // incrementally at every tick. Batches split exactly because
-        // retireBatch is purely additive: retiring (t-c)/per+1 steps,
-        // capturing, and retiring the rest lands every later tick on
-        // the same cycles as one uncut retirement.
-        arch::Scheme &sch = *scheme_;
-        constexpr CoreId core = 0;
-        std::size_t tickIdx = 0;
-        std::uint64_t total = 0;
-        std::size_t boundary_idx = 0;
-        std::vector<RegionId> ring;
-
-        auto capture = [&](Tick tick, bool finished) {
-            auto ck = baseCheckpoint(tick, total);
-            if (finished) {
-                ck->coreFinished[0] = 1;
-                ck->finishedAt[0] = sch.cycles(core);
-                ck->coreReturns[0] = replay->returnValue;
-            }
-            out.checkpoints.push_back(std::move(ck));
-        };
-
-        for (const CommitStream::Op &op : replay->ops) {
-            if (op.kind == CommitStream::kBatch1 ||
-                op.kind == CommitStream::kBatch2) {
-                const Tick per =
-                    op.kind == CommitStream::kBatch1 ? 1 : 2;
-                std::uint64_t done = 0;
-                while (done < op.aux) {
-                    std::uint64_t run = op.aux - done;
-                    while (tickIdx < ticks.size()) {
-                        Tick c = sch.cycles(core);
-                        if (c > ticks[tickIdx]) {
-                            // The cut rule stops exactly here for
-                            // this tick.
-                            capture(ticks[tickIdx], false);
-                            ++tickIdx;
-                            continue;
-                        }
-                        // Retire only the steps the cut rule admits
-                        // for the nearest tick, then capture.
-                        std::uint64_t fit =
-                            (ticks[tickIdx] - c) / per + 1;
-                        if (fit < run)
-                            run = fit;
-                        break;
-                    }
-                    total += run;
-                    if (total > max_instrs)
-                        cwsp_fatal("instruction budget exceeded (",
-                                   max_instrs, ")");
-                    sch.retireBatch(core, run,
-                                    static_cast<Tick>(run) * per);
-                    done += run;
-                }
-                continue;
-            }
-
-            if (op.flags & CommitStream::kFlagNewStep) {
-                while (tickIdx < ticks.size() &&
-                       sch.cycles(core) > ticks[tickIdx]) {
-                    capture(ticks[tickIdx], false);
-                    ++tickIdx;
-                }
-                if (++total > max_instrs)
-                    cwsp_fatal("instruction budget exceeded (",
-                               max_instrs, ")");
-            }
-
-            interp::CommitInfo info;
-            info.kind = static_cast<interp::CommitKind>(op.kind);
-            info.core = core;
-            info.addr = op.addr;
-            info.storeValue = op.value;
-            info.isCheckpoint =
-                (op.flags & CommitStream::kFlagCkpt) != 0;
-            info.func = op.func;
-            if (info.kind == interp::CommitKind::Boundary)
-                info.staticRegion = op.aux;
-            if (info.kind == interp::CommitKind::Store ||
-                info.kind == interp::CommitKind::Atomic) {
-                memory_->write(op.addr, op.value);
-            }
-            sch.onCommit(info);
-            if (info.kind == interp::CommitKind::Boundary) {
-                RegionId id = sch.currentRegion(core);
-                const CommitStream::SnapRef &ref =
-                    replay->snapRefs[boundary_idx];
-                auto &snap = bundle.snapshots[id];
-                snap.frames.assign(
-                    replay->frames.begin() + ref.begin,
-                    replay->frames.begin() + ref.begin + ref.count);
-                ring.push_back(id);
-                if (ring.size() > keep) {
-                    bundle.snapshots.erase(ring.front());
-                    ring.erase(ring.begin());
-                }
-                ++boundary_idx;
-            }
-        }
-        // Ticks at or past completion: a crash there finds the
-        // finished state.
-        while (tickIdx < ticks.size()) {
-            capture(ticks[tickIdx], true);
-            ++tickIdx;
-        }
-        out.result =
-            collectStats(std::vector<Word>{replay->returnValue});
-        return out;
+    for (Tick tick : ticks) {
+        driver.advance(tick);
+        out.checkpoints.push_back(checkpointAt(
+            tick, threads, bundle,
+            driver.position(config_.scheme.batteryBacked)));
     }
-
-    // Interpreted capture (any scheme, any core count).
-    std::vector<std::unique_ptr<interp::Interpreter>> cores;
-    cores.reserve(n);
-    RecordingSink sink(*scheme_, bundle, cores, keep);
-    for (std::size_t c = 0; c < n; ++c) {
-        cores.push_back(std::make_unique<interp::Interpreter>(
-            *module_, *memory_, static_cast<CoreId>(c)));
-        cores[c]->start(threads[c].entry, threads[c].args, sink);
-    }
-    std::vector<Tick> finished_at(n, kTickNever);
-    std::uint64_t total = 0;
-    std::size_t tickIdx = 0;
-
-    auto capture = [&](Tick tick) {
-        auto ck = baseCheckpoint(tick, total);
-        ck->finishedAt = finished_at;
-        for (std::size_t c = 0; c < n; ++c) {
-            bool fin = cores[c]->finished();
-            ck->coreFinished[c] = fin ? 1 : 0;
-            if (fin && ck->finishedAt[c] == kTickNever) {
-                ck->finishedAt[c] =
-                    scheme_->cycles(static_cast<CoreId>(c));
-            }
-            ck->coreReturns[c] = cores[c]->returnValue();
-        }
-        if (config_.scheme.batteryBacked) {
-            // The battery crash handler reads the live memory and
-            // snapshots the execution context of running cores.
-            ck->memory =
-                std::make_unique<interp::SparseMemory>(*memory_);
-            ck->exactSnaps.resize(n);
-            for (std::size_t c = 0; c < n; ++c)
-                if (!cores[c]->finished())
-                    ck->exactSnaps[c] = cores[c]->exactSnapshot();
-        }
-        out.checkpoints.push_back(std::move(ck));
-    };
-
-    while (true) {
-        interp::Interpreter *next = nullptr;
-        Tick best = kTickNever;
-        for (std::size_t c = 0; c < n; ++c) {
-            auto cid = static_cast<CoreId>(c);
-            if (cores[c]->finished()) {
-                if (finished_at[c] == kTickNever)
-                    finished_at[c] = scheme_->cycles(cid);
-                continue;
-            }
-            Tick t = scheme_->cycles(cid);
-            if (t < best) {
-                best = t;
-                next = cores[c].get();
-            }
-        }
-        // The crash-epoch schedule (skip cores past the crash tick)
-        // is a prefix of this free-run schedule: the moment the
-        // minimum clock passes a tick — or every core finishes — the
-        // state equals the crash epoch's stopped state at that tick.
-        while (tickIdx < ticks.size() &&
-               (!next || best > ticks[tickIdx])) {
-            capture(ticks[tickIdx]);
-            ++tickIdx;
-        }
-        if (!next)
-            break;
-        next->step(sink);
-        if (++total > max_instrs)
-            cwsp_fatal("instruction budget exceeded (", max_instrs,
-                       ")");
-    }
-    out.result = collectStats(cores);
+    driver.advance(kTickNever);
+    out.result = collectStats(driver.position(false).coreReturns);
     return out;
 }
 

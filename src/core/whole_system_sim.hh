@@ -79,6 +79,8 @@ struct ThreadSpec
 {
     std::string entry = "main";
     std::vector<Word> args;
+
+    bool operator==(const ThreadSpec &) const = default;
 };
 
 /** Aggregate outcome of one simulated run. */
@@ -120,6 +122,29 @@ struct RecordingBundle
     std::map<RegionId, interp::ControlSnapshot> snapshots;
 };
 
+/** What drives a run segment to its stop tick. */
+enum class ExecSource : std::uint8_t
+{
+    Interpret, ///< the functional interpreter, one per core
+    Stream,    ///< a recorded commit stream (core/commit_stream.hh)
+    Fork,      ///< a restored SimCheckpoint (core/sim_checkpoint.hh)
+};
+
+/** Why a faster source offered for a run was not used. */
+enum class SourceRefusal : std::uint8_t
+{
+    None,            ///< the fastest offered source ran (or none offered)
+    Module,          ///< checkpoint or stream of another module
+    Config,          ///< checkpoint captured under another SystemConfig
+    Threads,         ///< another thread set, entry or arguments
+    Tick,            ///< checkpoint captured for another crash tick
+    TraceSink,       ///< an external sink must see the skipped prefix
+    TraceGeometry,   ///< attached trace ring differs from the captured
+    SamplerGeometry, ///< attached sampler differs from the captured
+    Multicore,       ///< a stream drives one core only
+    BatteryBacked,   ///< battery crash handling needs live interpreters
+};
+
 /** Outcome of a crash-and-recover run. */
 struct CrashRunResult
 {
@@ -137,6 +162,10 @@ struct CrashRunResult
      */
     std::uint64_t lostWork = 0;
     std::vector<RegionId> resumeRegions; ///< per core (0 = restart)
+    /** What drove the first epoch to the first failure, and why the
+     *  fastest source offered to runWithCrashes() was refused. */
+    ExecSource source = ExecSource::Interpret;
+    SourceRefusal refusal = SourceRefusal::None;
     /**
      * The complete device-output stream across the failure: the
      * operations the I/O redo buffers released before the crash
@@ -191,7 +220,8 @@ collectIoStream(const ir::Module &module, const std::string &entry,
  */
 Tick defaultSamplePeriod(const SystemConfig &config);
 
-struct SimCheckpoint; // core/sim_checkpoint.hh
+struct ExecPosition; // core/sim_checkpoint.hh
+struct SimCheckpoint;
 
 /** Outcome of a checkpoint-capture run. */
 struct CheckpointRun
@@ -261,29 +291,24 @@ class WholeSystemSim
      * hardened recovery protocol after each failure, and complete the
      * program functionally after the last one. runWithCrash() is the
      * single-entry special case.
-     */
-    /**
-     * @param replay optional compiled commit stream of (entry, args).
-     * Epochs that start from a pristine image on one core (the first
-     * epoch of every crash run, and full-restart retries) are then
-     * driven from the stream instead of the interpreter — the scheme
-     * sees the identical commit sequence, so the crash state, the
-     * recording bundle, and every statistic are bit-identical while
-     * the sweep skips re-interpretation. Recovery and post-crash
-     * epochs always interpret. Ignored (full interpretation) for
-     * multi-core runs, battery-backed schemes, or a stream recorded
-     * for a different (module, entry, args).
-     */
-    /**
-     * @param fork optional checkpoint captured at ticks[0] of the
-     * same (module, scheme, threads) by captureCheckpoints(). The
-     * first crash epoch then restores the capture-instant state
-     * instead of re-executing the pre-crash prefix — every result,
-     * statistic, and trace byte stays identical while the sweep cost
-     * drops from O(prefix + tail) to O(tail). Ignored (from-scratch
-     * execution) on any identity/tick mismatch, when an external
-     * trace sink is attached, or when an attached trace buffer's
-     * geometry differs from the captured one.
+     *
+     * Two optional sources skip work without changing a result,
+     * statistic, or trace byte (CrashRunResult::source and ::refusal
+     * report which one ran):
+     *  - @p fork, a checkpoint captured at ticks[0] by
+     *    captureCheckpoints() for the same module, SystemConfig and
+     *    threads, replaces the pre-crash prefix of the first epoch:
+     *    O(tail) instead of O(prefix + tail). Refused on any identity
+     *    or tick mismatch, with an external trace sink attached, or
+     *    when an attached trace buffer's or sampler's geometry
+     *    differs from the captured one.
+     *  - @p replay, the compiled commit stream of (entry, args),
+     *    drives every epoch that starts from a pristine image (the
+     *    first unless forked, and full-restart retries), and applies
+     *    the resumed tail of a single fault-free failure. Refused for
+     *    multi-core runs, battery-backed schemes, or a stream of
+     *    another (module, entry, args).
+     * Recovery and resumed epochs always interpret.
      */
     CrashRunResult runWithCrashes(
         const std::vector<ThreadSpec> &threads,
@@ -313,9 +338,6 @@ class WholeSystemSim
         const std::vector<Tick> &ticks,
         std::uint64_t max_instrs = 200'000'000,
         const CommitStream *replay = nullptr);
-
-    /** Cycle count of a plain (no-crash) run, for picking crash points. */
-    Tick lastRunCycles() const { return lastCycles_; }
 
     /**
      * Hint the expected committed-instruction count of upcoming runs,
@@ -408,7 +430,6 @@ class WholeSystemSim
     /** Internal buffer driving a sink when none is attached. */
     std::unique_ptr<sim::TraceBuffer> ownTrace_;
     sim::CounterSampler *sampler_ = nullptr;
-    Tick lastCycles_ = 0;
     std::uint64_t expectedInstrs_ = 0;
     bool captureFirstCrash_ = false;
 
@@ -419,28 +440,30 @@ class WholeSystemSim
     void wireSampler();
 
     RunResult collectStats(const std::vector<Word> &return_values);
-    RunResult collectStats(
-        const std::vector<std::unique_ptr<interp::Interpreter>> &cores);
-
-    /** Outcome of one replayed execution segment. */
-    struct ReplayOutcome
-    {
-        bool finished = false;   ///< all stream ops applied
-        Tick finishedAt = kTickNever;
-        std::uint64_t steps = 0; ///< top-level steps retired
-    };
 
     /**
-     * Drive scheme_/hierarchy_/memory_ from @p stream on core 0,
-     * stopping before the first step whose start cycle exceeds
-     * @p crash_dt (kTickNever: run to stream end). When @p bundle is
-     * set, rebuilds its boundary-snapshot window (last @p keep
-     * regions) from the stream's flattened snapshots.
+     * The one eligibility check: @p fork (captured for a failure at
+     * @p tick) if it describes exactly this run, else @p stream if it
+     * can drive @p threads, else interpretation. @p refusal, if given,
+     * receives why the fastest offered source was refused.
      */
-    ReplayOutcome replaySegment(const CommitStream &stream,
-                                Tick crash_dt, RecordingBundle *bundle,
-                                std::size_t keep,
-                                std::uint64_t max_instrs);
+    ExecSource chooseSource(const std::vector<ThreadSpec> &threads,
+                            const CommitStream *stream,
+                            const SimCheckpoint *fork, Tick tick,
+                            SourceRefusal *refusal = nullptr) const;
+
+    /** Enable crash recording into @p bundle, its logs reserved for
+     *  the hint, else @p stream's exact count, else @p max_instrs. */
+    void startRecording(RecordingBundle &bundle, std::uint64_t max_instrs,
+                        const CommitStream *stream);
+
+    /** The current state as a checkpoint for a failure at @p tick. */
+    std::shared_ptr<const SimCheckpoint>
+    checkpointAt(Tick tick, const std::vector<ThreadSpec> &threads,
+                 const RecordingBundle &bundle, ExecPosition position);
+
+    /** Restore @p ckpt's state onto the freshly reset components. */
+    void restoreCheckpoint(const SimCheckpoint &ckpt);
 };
 
 } // namespace cwsp::core

@@ -228,8 +228,9 @@ struct Context
     /**
      * Concurrent contexts (one per interleaving schedule): thread
      * roster, structure spec, and per-worker op sequences for the
-     * durable-linearizability verdict. Checkpoint forking and stream
-     * replay stay off — both are single-core machineries.
+     * durable-linearizability verdict. Stream replay is single-core
+     * machinery; checkpoint forking works on any core count but is
+     * not enabled for these contexts.
      */
     bool concurrent = false;
     std::uint32_t ilvIndex = 0;
@@ -465,21 +466,26 @@ runCase(const CampaignCase &c, const GoldenRef &golden,
             sim.setCaptureFirstCrash(true);
         // Forked mode: restore the pre-crash prefix from the golden
         // pass's checkpoint instead of re-executing it. A miss
-        // (evicted under the byte cap, or never captured) degrades to
-        // from-scratch execution — identical verdict, more cycles.
+        // (evicted under the byte cap, or never captured) or a
+        // checkpoint the simulator refuses degrades to from-scratch
+        // execution — identical verdict, more cycles — and the ledger
+        // counts the source that actually ran.
         std::shared_ptr<const core::SimCheckpoint> fork;
-        if (golden.ckptCache && !c.schedule.empty()) {
+        const bool consultCache = golden.ckptCache && !c.schedule.empty();
+        if (consultCache) {
             fork = golden.ckptCache->get(
                 golden.ckptKeyBase + ":" +
                 std::to_string(c.schedule.ticks[0]));
-            if (fork)
-                golden.ckptCache->noteFork();
-            else
-                golden.ckptCache->noteFallback();
         }
         auto out =
             sim.runWithCrashes(threads, c.schedule, c.plan,
                                max_instrs, golden.stream, fork.get());
+        if (consultCache) {
+            if (out.source == core::ExecSource::Fork)
+                golden.ckptCache->noteFork();
+            else
+                golden.ckptCache->noteFallback();
+        }
         r.ran = true;
         r.crashed = out.crashed;
         r.faults = out.faults;
@@ -646,10 +652,10 @@ runCampaign(const CampaignOptions &options)
                     // Multicore golden run: the enumeration pass times
                     // it, and each worker deterministically finishes
                     // opsPerWorker ops (the reference return value).
-                    // Commit-stream replay and checkpoint forking are
-                    // single-core machineries and stay off; the
-                    // durable-lin verdict replaces the differential
-                    // checks.
+                    // Commit-stream replay (single-core machinery) and
+                    // checkpoint forking (not enabled here) stay off;
+                    // the durable-lin verdict replaces the
+                    // differential checks.
                     const auto *cp = workloads::findConcurrentApp(ctx.app);
                     ctx.config.numCores = cp->params.numWorkers;
                     ctx.config.scheme.interleave = core::interleaveSchedule(

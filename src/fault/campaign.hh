@@ -319,7 +319,8 @@ struct GoldenRef
      * Optional checkpoint cache populated during the golden pass.
      * runCase() then looks up "<ckptKeyBase>:<first crash tick>" and
      * forks the case from the checkpoint; a miss (evicted or never
-     * captured) falls back to from-scratch execution and is counted.
+     * captured) or a checkpoint the simulator refuses falls back to
+     * from-scratch execution and is counted as a fallback.
      */
     core::CheckpointCache *ckptCache = nullptr;
     std::string ckptKeyBase;

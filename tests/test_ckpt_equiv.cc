@@ -7,25 +7,30 @@
  * JSON, and the trace stream — across every app and scheme, and
  * through the edge cases a sweep actually hits: mid-drain capture
  * instants, nested crashes landing inside a forked epoch, media
- * faults decorating a forked case, and the fork gates that must fall
- * back (mismatched identity, attached trace sink). The
+ * faults decorating a forked case, multicore crash points, and the
+ * fork gates that must fall back with their refusal reason
+ * (mismatched identity or configuration, attached trace sink). The
  * CheckpointCache sharing layer (LRU, byte cap, stats) is unit-tested
  * alongside.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/commit_stream.hh"
+#include "core/interleave.hh"
 #include "core/sim_checkpoint.hh"
 #include "core/whole_system_sim.hh"
+#include "fault/crash_points.hh"
 #include "fault/fault_model.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
+#include "workloads/concurrent.hh"
 #include "workloads/workload.hh"
 
 namespace cwsp {
@@ -154,6 +159,7 @@ TEST(CkptEquiv, AllAppsAllSchemesForkedIdentical)
                 cr.checkpoints[0].get());
             expectSameCrashResult(ref, got);
             EXPECT_EQ(refJson, statsJson(forked));
+            EXPECT_EQ(got.source, core::ExecSource::Fork);
         }
     }
 }
@@ -385,6 +391,8 @@ TEST(CkptEquiv, MismatchedForkFallsBack)
                                         cr.checkpoints[0].get());
     expectSameCrashResult(ref, got);
     EXPECT_EQ(refJson, statsJson(wrongTick));
+    EXPECT_EQ(got.source, core::ExecSource::Stream);
+    EXPECT_EQ(got.refusal, core::SourceRefusal::Tick);
 
     // A checkpoint captured for a different module: fall back.
     auto otherMod = workloads::buildApp(workloads::appByName("astar"),
@@ -402,6 +410,26 @@ TEST(CkptEquiv, MismatchedForkFallsBack)
         threads, same, {}, 200'000'000, &stream,
         otherCr.checkpoints[0].get());
     expectSameCrashResult(refSame, gotSame);
+    EXPECT_EQ(gotSame.refusal, core::SourceRefusal::Module);
+
+    // A checkpoint of the same program and scheme captured under
+    // another SystemConfig (here the default persist-path bandwidth):
+    // its component state belongs to the other design point, so fall
+    // back.
+    auto slowCfg = cfg;
+    slowCfg.scheme.path.bandwidthGBs = 1;
+    core::WholeSystemSim scratchSlow(*mod, slowCfg);
+    auto refSlow = scratchSlow.runWithCrashes(threads, same, {},
+                                              200'000'000, &stream);
+    std::string refSlowJson = statsJson(scratchSlow);
+    core::WholeSystemSim wrongCfg(*mod, slowCfg);
+    auto gotSlow = wrongCfg.runWithCrashes(threads, same, {},
+                                           200'000'000, &stream,
+                                           cr.checkpoints[0].get());
+    expectSameCrashResult(refSlow, gotSlow);
+    EXPECT_EQ(refSlowJson, statsJson(wrongCfg));
+    EXPECT_EQ(gotSlow.source, core::ExecSource::Stream);
+    EXPECT_EQ(gotSlow.refusal, core::SourceRefusal::Config);
 }
 
 /** An external trace sink sees every prefix event even when a fork
@@ -435,10 +463,93 @@ TEST(CkptEquiv, SinkAttachedForkFallsBack)
                                      200'000'000, &stream,
                                      cr.checkpoints[0].get());
     expectSameCrashResult(ref, got);
+    EXPECT_EQ(got.refusal, core::SourceRefusal::TraceSink);
     ASSERT_EQ(refSink.events.size(), gotSink.events.size());
     for (std::size_t i = 0; i < refSink.events.size(); ++i)
         EXPECT_TRUE(refSink.events[i] == gotSink.events[i])
             << "event " << i << " differs";
+}
+
+/**
+ * Multicore capture and fork: the lock-free structures' worker
+ * threads under every scheme and three interleaving schedules, forked
+ * at every enumerated crash point. The capture pass stops the
+ * min-clock schedule of several cores at each tick; every forked
+ * case must match from-scratch execution field for field, including
+ * the first failure's durable image that durable-linearizability
+ * checking reads.
+ */
+TEST(CkptEquiv, MulticoreForkIdentical)
+{
+    std::size_t cases = 0;
+    for (const char *app : {"cstack", "cqueue", "chash"}) {
+        const auto *cp = workloads::findConcurrentApp(app);
+        ASSERT_NE(cp, nullptr) << app;
+        std::vector<core::ThreadSpec> threads;
+        for (std::uint32_t t = 0; t < cp->params.numWorkers; ++t)
+            threads.push_back(core::ThreadSpec{"worker", {Word{t}}});
+        for (const auto &scheme : kSchemes) {
+            const auto base = core::makeSystemConfig(scheme);
+            auto mod = workloads::buildConcurrentApp(*cp, base.compiler);
+            for (std::uint32_t ilv = 0; ilv < 3; ++ilv) {
+                SCOPED_TRACE(std::string(app) + "/" + scheme + " ilv" +
+                             std::to_string(ilv));
+                auto cfg = base;
+                cfg.numCores = cp->params.numWorkers;
+                cfg.scheme.interleave = core::interleaveSchedule(1, ilv);
+                std::vector<Tick> ticks;
+                for (const auto &p :
+                     fault::enumerateCrashPoints(*mod, cfg, threads)
+                         .points)
+                    ticks.push_back(p.tick);
+                std::sort(ticks.begin(), ticks.end());
+                ticks.erase(std::unique(ticks.begin(), ticks.end()),
+                            ticks.end());
+                ASSERT_FALSE(ticks.empty());
+
+                core::WholeSystemSim capture(*mod, cfg);
+                auto cr = capture.captureCheckpoints(threads, ticks);
+                ASSERT_EQ(cr.checkpoints.size(), ticks.size());
+                for (std::size_t i = 0; i < ticks.size(); ++i) {
+                    SCOPED_TRACE("crash@" + std::to_string(ticks[i]));
+                    fault::CrashSchedule schedule{ticks[i]};
+                    core::WholeSystemSim scratch(*mod, cfg);
+                    scratch.setCaptureFirstCrash(true);
+                    auto ref = scratch.runWithCrashes(threads, schedule);
+
+                    core::WholeSystemSim forked(*mod, cfg);
+                    forked.setCaptureFirstCrash(true);
+                    auto got = forked.runWithCrashes(
+                        threads, schedule, {}, 200'000'000, nullptr,
+                        cr.checkpoints[i].get());
+                    EXPECT_EQ(got.source, core::ExecSource::Fork);
+                    expectSameCrashResult(ref, got);
+                    ASSERT_EQ(ref.recoveryBreakdowns.size(),
+                              got.recoveryBreakdowns.size());
+                    for (std::size_t w = 0;
+                         w < ref.recoveryBreakdowns.size(); ++w) {
+                        const auto &a = ref.recoveryBreakdowns[w];
+                        const auto &b = got.recoveryBreakdowns[w];
+                        EXPECT_EQ(a.window, b.window);
+                        EXPECT_EQ(a.replayRecords, b.replayRecords);
+                        EXPECT_EQ(a.sliceOps, b.sliceOps);
+                        for (std::size_t p = 0;
+                             p < core::kNumRecoveryPhases; ++p)
+                            EXPECT_EQ(a.phase[p], b.phase[p]);
+                    }
+                    EXPECT_EQ(ref.hasFirstCrash, got.hasFirstCrash);
+                    EXPECT_EQ(ref.firstFullRestart, got.firstFullRestart);
+                    EXPECT_TRUE(ref.firstDurableImage.equals(
+                        got.firstDurableImage));
+                    EXPECT_EQ(ref.firstStores.size(),
+                              got.firstStores.size());
+                    EXPECT_EQ(statsJson(scratch), statsJson(forked));
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_GT(cases, 100u);
 }
 
 /**

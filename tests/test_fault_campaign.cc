@@ -16,6 +16,7 @@
 #include "compiler/compiler.hh"
 #include "core/consistency_checker.hh"
 #include "core/interleave.hh"
+#include "core/sim_checkpoint.hh"
 #include "core/whole_system_sim.hh"
 #include "fault/campaign.hh"
 #include "fault/crash_points.hh"
@@ -284,6 +285,46 @@ TEST(FaultCampaign, RunCaseFlagsDivergenceAgainstGolden)
     EXPECT_FALSE(r.consistent);
     EXPECT_GE(r.divergences, 1u);
     EXPECT_FALSE(r.detail.empty());
+}
+
+// The checkpoint ledger counts the source that actually ran: a cache
+// hit whose checkpoint the simulator refuses (captured for another
+// tick than its key names) falls back and is counted as a fallback,
+// while a matching one forks.
+TEST(FaultCampaign, RefusedForkCountsAsFallback)
+{
+    Golden g = makeGolden("fft", "cwsp", 1);
+    const std::vector<arch::IoRecord> io =
+        core::collectIoStream(*g.mod, "main", {});
+    core::WholeSystemSim capture(*g.mod, g.cfg);
+    auto cr = capture.captureCheckpoints({core::ThreadSpec{}},
+                                         {g.pivot, g.pivot + 1});
+    ASSERT_EQ(cr.checkpoints.size(), 2u);
+
+    core::CheckpointCache cache;
+    cache.insert("stale:" + std::to_string(g.pivot), cr.checkpoints[1]);
+    cache.insert("fresh:" + std::to_string(g.pivot), cr.checkpoints[0]);
+    fault::GoldenRef ref;
+    ref.module = g.mod.get();
+    ref.config = &g.cfg;
+    ref.result = g.result;
+    ref.memory = &g.memory;
+    ref.ioStream = &io;
+    ref.ckptCache = &cache;
+
+    fault::CampaignCase c;
+    c.app = "fft";
+    c.scheme = "cwsp";
+    c.schedule = fault::CrashSchedule{g.pivot};
+    ref.ckptKeyBase = "stale";
+    EXPECT_TRUE(fault::runCase(c, ref).pass);
+    EXPECT_EQ(cache.stats().forks, 0u);
+    EXPECT_EQ(cache.stats().fallbacks, 1u);
+
+    ref.ckptKeyBase = "fresh";
+    EXPECT_TRUE(fault::runCase(c, ref).pass);
+    EXPECT_EQ(cache.stats().forks, 1u);
+    EXPECT_EQ(cache.stats().fallbacks, 1u);
 }
 
 TEST(FaultCampaign, CampaignSmokeAllPass)

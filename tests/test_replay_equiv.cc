@@ -197,6 +197,8 @@ TEST(ReplayEquiv, MismatchedStreamFallsBack)
     auto got = replay.runWithCrashes(threads, fault::CrashSchedule{500},
                                      {}, 200'000'000, &stream);
     expectSameCrashResult(ref, got);
+    EXPECT_EQ(got.source, core::ExecSource::Interpret);
+    EXPECT_EQ(got.refusal, core::SourceRefusal::Module);
 }
 
 } // namespace

@@ -283,6 +283,7 @@ TEST(Telemetry, SamplerGeometryGatesFork)
                                     cr.checkpoints[0].get());
     EXPECT_EQ(rs.result.cycles, rf.result.cycles);
     expectSameSeries(ref, got);
+    EXPECT_EQ(rf.refusal, core::SourceRefusal::SamplerGeometry);
 }
 
 /**
