@@ -179,7 +179,8 @@ registerCases()
                 // capture pass. Crash ticks depend on the golden
                 // cycle count; probe it from the same stream.
                 auto stream = core::recordCommitStream(
-                    *c->module, "main", {}, kMaxInstrs);
+                    *c->module, "main", {}, c->config.hierarchy,
+                    kMaxInstrs);
                 Tick goldenCycles;
                 {
                     core::WholeSystemSim sim(*c->module, c->config,
@@ -234,6 +235,7 @@ registerCases()
                 sim::SimArena arena;
                 auto stream = std::make_shared<core::CommitStream>(
                     core::recordCommitStream(*c->module, "main", {},
+                                             c->config.hierarchy,
                                              kMaxInstrs));
                 Tick goldenCycles;
                 {

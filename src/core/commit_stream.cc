@@ -18,12 +18,28 @@ using interp::CommitKind;
 class StreamRecordSink final : public interp::CommitSink
 {
   public:
-    StreamRecordSink(CommitStream &stream) : stream_(stream) {}
+    StreamRecordSink(CommitStream &stream, mem::Hierarchy &tags)
+        : stream_(stream), tags_(tags)
+    {
+    }
 
     void
     onCommit(const interp::CommitInfo &info) override
     {
         ++stream_.commits;
+        if (info.kind == CommitKind::Load ||
+            info.kind == CommitKind::Store ||
+            info.kind == CommitKind::Atomic) {
+            // The demand access the scheme makes for this commit.
+            Addr victims[mem::tag_outcome::kMaxVictims];
+            const mem::TagOutcome t =
+                tags_.walk(info.core, lineAlign(info.addr),
+                           info.kind != CommitKind::Load, victims);
+            stream_.outcomes.push_back(t);
+            stream_.victims.insert(stream_.victims.end(), victims,
+                                   victims +
+                                       mem::tag_outcome::victims(t));
+        }
         const bool new_step = newStep_;
         newStep_ = false;
         // A held CallRet's step was a single commit iff this commit
@@ -86,6 +102,7 @@ class StreamRecordSink final : public interp::CommitSink
 
   private:
     CommitStream &stream_;
+    mem::Hierarchy &tags_;
     interp::Interpreter *interp_ = nullptr;
     bool newStep_ = false;
     bool pending_ = false;
@@ -112,6 +129,7 @@ class StreamRecordSink final : public interp::CommitSink
 CommitStream
 recordCommitStream(const ir::Module &module, const std::string &entry,
                    const std::vector<Word> &args,
+                   const mem::HierarchyConfig &geometry,
                    std::uint64_t max_instrs,
                    std::uint64_t expected_instrs)
 {
@@ -119,6 +137,7 @@ recordCommitStream(const ir::Module &module, const std::string &entry,
     stream.module = &module;
     stream.entry = entry;
     stream.args = args;
+    stream.geometry = mem::tagGeometryKey(geometry);
     if (expected_instrs != 0) {
         // Batching leaves about 0.4 ops per step (memory, boundary and
         // spill commits stay explicit); cap so an inflated hint cannot
@@ -126,11 +145,14 @@ recordCommitStream(const ir::Module &module, const std::string &entry,
         constexpr std::uint64_t kMaxOpReserve = std::uint64_t{1} << 22;
         stream.ops.reserve(static_cast<std::size_t>(std::min(
             expected_instrs * 2 / 5, kMaxOpReserve)));
+        stream.outcomes.reserve(stream.ops.capacity());
     }
 
+    // Only the tag half of this hierarchy ever runs.
+    mem::Hierarchy tags(geometry, 1);
     interp::SparseMemory memory;
     interp::Interpreter interp(module, memory, 0);
-    StreamRecordSink sink(stream);
+    StreamRecordSink sink(stream, tags);
     sink.setInterpreter(&interp);
     // start()'s argument-spill stores run before the step loop, so
     // they carry no new-step flag: replay applies them before the
@@ -149,7 +171,20 @@ recordCommitStream(const ir::Module &module, const std::string &entry,
     stream.ops.shrink_to_fit();
     stream.frames.shrink_to_fit();
     stream.snapRefs.shrink_to_fit();
+    stream.outcomes.shrink_to_fit();
+    stream.victims.shrink_to_fit();
     return stream;
+}
+
+CommitStream
+recordCommitStream(const ir::Module &module, const std::string &entry,
+                   const std::vector<Word> &args,
+                   std::uint64_t max_instrs,
+                   std::uint64_t expected_instrs)
+{
+    return recordCommitStream(module, entry, args,
+                              mem::defaultHierarchy(), max_instrs,
+                              expected_instrs);
 }
 
 } // namespace cwsp::core

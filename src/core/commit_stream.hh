@@ -26,6 +26,17 @@
  *    path needs at each region boundary is stored as a flat Frame
  *    run, so a crash replay can rebuild the RecordingBundle's
  *    snapshot window without any live interpreter.
+ *
+ *  - Recorded cache outcomes. Cache tag state depends only on the
+ *    access sequence and the tag geometry, never on timing, so the
+ *    recording also walks one geometry's tags (mem::Hierarchy::walk)
+ *    and keeps each Load, Store and Atomic op's outcome: one byte,
+ *    plus the dirty victim lines the timing half needs. Replay under
+ *    that geometry feeds them to mem::Hierarchy::apply and never
+ *    touches a tag; under another geometry it walks tags live.
+ *
+ * Replay drives only the timing models: it keeps no memory image,
+ * because nothing reads one after a replayed run or epoch.
  */
 
 #ifndef CWSP_CORE_COMMIT_STREAM_HH
@@ -38,6 +49,7 @@
 
 #include "interp/interpreter.hh"
 #include "ir/ir.hh"
+#include "mem/hierarchy.hh"
 #include "sim/types.hh"
 
 namespace cwsp::core {
@@ -78,6 +90,15 @@ class CommitStream
     std::vector<interp::Frame> frames;
     std::vector<SnapRef> snapRefs;
 
+    /**
+     * Tag outcomes of the Load, Store and Atomic ops, in op order,
+     * walked on a hierarchy of tag geometry `geometry`
+     * (mem::tagGeometryKey), and the victim lines they carry.
+     */
+    std::vector<mem::TagOutcome> outcomes;
+    std::vector<Addr> victims;
+    std::string geometry;
+
     /** Identity (replay refuses a stream for a different program). */
     const ir::Module *module = nullptr;
     std::string entry;
@@ -102,17 +123,29 @@ class CommitStream
     {
         return ops.capacity() * sizeof(Op) +
                frames.capacity() * sizeof(interp::Frame) +
-               snapRefs.capacity() * sizeof(SnapRef) + sizeof(*this);
+               snapRefs.capacity() * sizeof(SnapRef) +
+               outcomes.capacity() * sizeof(mem::TagOutcome) +
+               victims.capacity() * sizeof(Addr) + sizeof(*this);
     }
 };
 
 /**
- * Run @p entry functionally once and compile its commit sequence.
- * Fatal when the run exceeds @p max_instrs steps (same budget
- * semantics as WholeSystemSim::run). @p expected_instrs, when
- * nonzero, pre-sizes the recording slabs (use
+ * Run @p entry functionally once and compile its commit sequence,
+ * with the cache outcomes of @p geometry's tag walk (only its tag
+ * geometry matters). Fatal when the run exceeds @p max_instrs steps
+ * (same budget semantics as WholeSystemSim::run). @p expected_instrs,
+ * when nonzero, pre-sizes the recording slabs (use
  * workloads::estimatedInstrs for profile-derived hints).
  */
+CommitStream recordCommitStream(const ir::Module &module,
+                                const std::string &entry,
+                                const std::vector<Word> &args,
+                                const mem::HierarchyConfig &geometry,
+                                std::uint64_t max_instrs =
+                                    2'000'000'000,
+                                std::uint64_t expected_instrs = 0);
+
+/** recordCommitStream() with mem::defaultHierarchy()'s outcomes. */
 CommitStream recordCommitStream(const ir::Module &module,
                                 const std::string &entry,
                                 const std::vector<Word> &args,

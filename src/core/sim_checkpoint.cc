@@ -43,6 +43,19 @@ SimCheckpoint::bytes() const
     return b;
 }
 
+std::string
+FallbackCauses::describe() const
+{
+    std::string out;
+    forEach([&](const char *cause, std::uint64_t n) {
+        if (n == 0)
+            return;
+        out += (out.empty() ? "" : ", ") + std::to_string(n) + " " +
+               cause;
+    });
+    return out.empty() ? "none" : out;
+}
+
 CheckpointCache::CheckpointCache(std::size_t max_bytes)
     : capBytes_(max_bytes != 0 ? max_bytes : defaultCapBytes())
 {
@@ -116,10 +129,14 @@ CheckpointCache::noteFork()
 }
 
 void
-CheckpointCache::noteFallback()
+CheckpointCache::noteFallback(SourceRefusal why)
 {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.fallbacks;
+    if (why == SourceRefusal::None)
+        ++stats_.fallbackCauses.missing;
+    else
+        ++stats_.fallbackCauses.refused[static_cast<std::size_t>(why)];
 }
 
 void
@@ -154,6 +171,9 @@ CheckpointCache::fillStats(StatsRegistry &reg,
     reg.counter(prefix + "ckpt.forks").inc(s.forks);
     reg.counter(prefix + "ckpt.evictions").inc(s.evictions);
     reg.counter(prefix + "ckpt.fallbacks").inc(s.fallbacks);
+    s.fallbackCauses.forEach([&](const char *cause, std::uint64_t n) {
+        reg.counter(prefix + "ckpt.fallback_causes." + cause).inc(n);
+    });
     reg.counter(prefix + "ckpt.bytesResident").inc(s.bytesResident);
 }
 

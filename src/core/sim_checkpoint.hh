@@ -23,6 +23,7 @@
 #ifndef CWSP_CORE_SIM_CHECKPOINT_HH
 #define CWSP_CORE_SIM_CHECKPOINT_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -79,6 +80,12 @@ struct SimCheckpoint
      * buffers, ReplayCache pending records), cache SoA slabs, write
      * buffers, MC slot/media rings and WPQ occupancy, and every
      * component statistic.
+     *
+     * A checkpoint captured while a stream replays its recorded cache
+     * outcomes holds no cache tags (empty slab arrays, same format):
+     * the replay never walked them. A fork never needs them: it
+     * restores at this checkpoint's own crash tick, the crash empties
+     * every cache, and the next epoch starts on freshly reset ones.
      */
     std::vector<std::uint8_t> componentBytes;
 
@@ -108,6 +115,31 @@ struct SimCheckpoint
 
     /** Resident size estimate, for the cache byte cap. */
     std::size_t bytes() const;
+};
+
+/** Why crash cases that offered a checkpoint ran from scratch. */
+struct FallbackCauses
+{
+    /** No checkpoint under the case's key: evicted, or never
+     *  captured. */
+    std::uint64_t missing = 0;
+    /** Checkpoints found but refused, by SourceRefusal value. */
+    std::array<std::uint64_t, kNumSourceRefusals> refused{};
+
+    /** Visit ("missing", n), then (sourceRefusalName(r), n) for every
+     *  refusal reason r but None: a fixed order and key set. */
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        f("missing", missing);
+        for (std::size_t r = 1; r < kNumSourceRefusals; ++r)
+            f(sourceRefusalName(static_cast<SourceRefusal>(r)),
+              refused[r]);
+    }
+
+    /** The nonzero causes, "42 missing, 3 config"; "none" if none. */
+    std::string describe() const;
 };
 
 /**
@@ -149,9 +181,9 @@ class CheckpointCache
 
     /** One successful fork from a cached checkpoint. */
     void noteFork();
-    /** One case that ran from scratch because its checkpoint was
-     *  missing, evicted, or incompatible. */
-    void noteFallback();
+    /** One case that ran from scratch: the simulator refused its
+     *  checkpoint for @p why, or (None) there was none to offer. */
+    void noteFallback(SourceRefusal why = SourceRefusal::None);
 
     struct Stats
     {
@@ -159,6 +191,7 @@ class CheckpointCache
         std::uint64_t forks = 0;     ///< cases forked from a hit
         std::uint64_t evictions = 0; ///< entries dropped by the cap
         std::uint64_t fallbacks = 0; ///< cases run from scratch
+        FallbackCauses fallbackCauses; ///< fallbacks, split by cause
         std::size_t bytesResident = 0;
         std::size_t entries = 0;
     };
@@ -167,7 +200,8 @@ class CheckpointCache
     /**
      * Report cache behaviour into @p reg as counters under
      * @p prefix (ckpt.captures, ckpt.forks, ckpt.evictions,
-     * ckpt.fallbacks, ckpt.bytesResident).
+     * ckpt.fallbacks, ckpt.fallback_causes.<cause>,
+     * ckpt.bytesResident).
      */
     void fillStats(StatsRegistry &reg,
                    const std::string &prefix = "") const;

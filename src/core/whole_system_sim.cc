@@ -90,8 +90,19 @@ class Driver final : public interp::CommitSink
         }
     }
 
-    /** Drive core 0 from @p stream instead of interpreting. */
-    void replay(const CommitStream &stream) { stream_ = &stream; }
+    /**
+     * Drive core 0 from @p stream instead of interpreting. Its cache
+     * outcomes replace the tag walk when they were recorded for this
+     * hierarchy's tag geometry; under any other the tags walk live.
+     */
+    void
+    replay(const CommitStream &stream)
+    {
+        stream_ = &stream;
+        mem::Hierarchy &h = scheme_.hierarchy();
+        if (stream.geometry == mem::tagGeometryKey(h.config()))
+            h.replayOutcomes(stream.outcomes, stream.victims);
+    }
 
     /** Run until no unfinished core's next step starts by @p stop. */
     void
@@ -208,14 +219,17 @@ Driver::runCores(Tick stop)
 }
 
 /**
- * The commit-stream cursor: drive the scheme, its hierarchy and the
- * functional memory from the stream on core 0, resuming where the
- * last stop left off, and record core 0's finish once the stream is
- * exhausted. It cuts like the scheduler: a step runs iff its start
- * cycle is at or before @p stop. Every batched step costs `per`
- * cycles, so a batch splits after (stop - c) / per + 1 steps, and
- * because retireBatch is purely additive, the rest of a split batch
- * lands every later step on the cycles one uncut retirement would.
+ * The commit-stream cursor: drive the scheme and its hierarchy from
+ * the stream on core 0, resuming where the last stop left off, and
+ * record core 0's finish once the stream is exhausted. It writes no
+ * memory image: after a replayed run or epoch nothing reads one (crash
+ * handling rebuilds durable state from the bundle, and only battery-
+ * backed schemes, which never replay, checkpoint memory). It cuts like
+ * the scheduler: a step runs iff its start cycle is at or before
+ * @p stop. Every batched step costs `per` cycles, so a batch splits
+ * after (stop - c) / per + 1 steps, and because retireBatch is purely
+ * additive, the rest of a split batch lands every later step on the
+ * cycles one uncut retirement would.
  */
 void
 Driver::runStream(Tick stop)
@@ -267,11 +281,6 @@ Driver::runStream(Tick stop)
         info.func = op->func;
         if (info.kind == interp::CommitKind::Boundary)
             info.staticRegion = op->aux;
-        // The interpreter writes memory before the sink callback.
-        if (info.kind == interp::CommitKind::Store ||
-            info.kind == interp::CommitKind::Atomic) {
-            memory_.write(op->addr, op->value);
-        }
         scheme_.onCommit(info);
         if (info.kind == interp::CommitKind::Boundary) {
             if (bundle_) {
@@ -287,8 +296,11 @@ Driver::runStream(Tick stop)
     }
     nextOp_ = static_cast<std::size_t>(op - first);
     steps_ = steps;
-    if (op == last)
+    if (op == last) {
         finishedAt_[core] = scheme_.cycles(core);
+        cwsp_assert(scheme_.hierarchy().outcomesLeft() == 0,
+                    "stream ended with tag outcomes left over");
+    }
 }
 
 ExecPosition
@@ -320,6 +332,24 @@ Driver::position(bool exact) const
 }
 
 } // namespace
+
+const char *
+sourceRefusalName(SourceRefusal r)
+{
+    switch (r) {
+      case SourceRefusal::None: return "none";
+      case SourceRefusal::Module: return "module";
+      case SourceRefusal::Config: return "config";
+      case SourceRefusal::Threads: return "threads";
+      case SourceRefusal::Tick: return "tick";
+      case SourceRefusal::TraceSink: return "trace_sink";
+      case SourceRefusal::TraceGeometry: return "trace_geometry";
+      case SourceRefusal::SamplerGeometry: return "sampler_geometry";
+      case SourceRefusal::Multicore: return "multicore";
+      case SourceRefusal::BatteryBacked: return "battery_backed";
+    }
+    return "?";
+}
 
 const char *
 recoveryPhaseName(RecoveryPhase p)

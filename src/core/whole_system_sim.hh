@@ -145,6 +145,13 @@ enum class SourceRefusal : std::uint8_t
     BatteryBacked,   ///< battery crash handling needs live interpreters
 };
 
+/** SourceRefusal values (BatteryBacked is the last). */
+constexpr std::size_t kNumSourceRefusals =
+    static_cast<std::size_t>(SourceRefusal::BatteryBacked) + 1;
+
+/** Snake-case name of @p r ("none", "trace_sink", ...). */
+const char *sourceRefusalName(SourceRefusal r);
+
 /** Outcome of a crash-and-recover run. */
 struct CrashRunResult
 {
@@ -267,7 +274,8 @@ class WholeSystemSim
      * sequence, so the RunResult, component statistics, and trace
      * output are bit-identical to run() with the stream's (entry,
      * args) — at a fraction of the cost (no interpretation; runs of
-     * constant-cost commits retire arithmetically).
+     * constant-cost commits retire arithmetically; under the stream's
+     * tag geometry the recorded cache outcomes replace the tag walk).
      * Single-threaded programs only (the stream pins core 0).
      */
     RunResult runReplay(const CommitStream &stream,
@@ -364,7 +372,11 @@ class WholeSystemSim
     arch::Scheme &scheme() { return *scheme_; }
     const SystemConfig &config() const { return config_; }
 
-    /** Final architectural memory of the last run. */
+    /**
+     * Final architectural memory of the last run. Empty after
+     * runReplay(): replay drives only the timing models and keeps no
+     * memory image.
+     */
     const interp::SparseMemory &memory() const { return *memory_; }
 
     /**

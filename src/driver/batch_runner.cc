@@ -148,14 +148,15 @@ resolveStreamCacheBytes(const BatchConfig &config)
     return mb * std::size_t{1024} * 1024;
 }
 
-/** Stream-cache key: the program a point runs, whatever its hardware. */
+/** Stream-cache key: the program a point runs and its cache tag
+ *  geometry, whatever its timing. */
 std::string
 streamKey(const workloads::AppProfile &app,
-          const compiler::CompilerOptions &options,
-          const std::string &entry)
+          const core::SystemConfig &config, const std::string &entry)
 {
     return workloads::profileKey(app) + "|" +
-           core::compilerOptionsKey(options) + "|entry=" + entry;
+           core::compilerOptionsKey(config.compiler) + "|" +
+           mem::tagGeometryKey(config.hierarchy) + "|entry=" + entry;
 }
 
 } // namespace
@@ -381,12 +382,12 @@ BatchRunner::cachedModule(
 
 std::shared_ptr<const core::CommitStream>
 BatchRunner::streamFor(const workloads::AppProfile &app,
-                       const compiler::CompilerOptions &options,
+                       const core::SystemConfig &config,
                        const std::string &entry,
                        std::uint64_t max_instrs,
                        std::shared_ptr<const ir::Module> mod)
 {
-    const std::string key = streamKey(app, options, entry);
+    const std::string key = streamKey(app, config, entry);
     std::promise<std::shared_ptr<const core::CommitStream>> promise;
     std::shared_future<std::shared_ptr<const core::CommitStream>> fut;
     bool owner = false;
@@ -409,9 +410,10 @@ BatchRunner::streamFor(const workloads::AppProfile &app,
     impl_->streamsRecorded.fetch_add(1, std::memory_order_relaxed);
     try {
         if (!mod)
-            mod = moduleFor(app, options);
+            mod = moduleFor(app, config.compiler);
         auto stream = std::make_shared<core::CommitStream>(
-            core::recordCommitStream(*mod, entry, {}, max_instrs,
+            core::recordCommitStream(*mod, entry, {}, config.hierarchy,
+                                     max_instrs,
                                      workloads::estimatedInstrs(app)));
         promise.set_value(stream);
         {
@@ -468,8 +470,8 @@ BatchRunner::compute(const DesignPoint &point, const std::string &key,
         sim.attachTraceSink(&monitor);
     core::RunResult r;
     if (replay) {
-        auto stream = streamFor(point.app, point.config.compiler,
-                                point.entry, point.maxInstrs, mod);
+        auto stream = streamFor(point.app, point.config, point.entry,
+                                point.maxInstrs, mod);
         r = sim.runReplay(*stream, point.maxInstrs);
         impl_->replayedRuns.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -593,23 +595,23 @@ BatchRunner::runAll(const std::vector<DesignPoint> &points)
     if (points.empty())
         return out;
 
-    // Plan: replay a program only when enough distinct points of this
-    // batch share its stream to repay the recording.
+    // Plan: replay a stream (program and tag geometry) only when
+    // enough distinct points of this batch share it to repay the
+    // recording.
     std::vector<std::string> keys(points.size());
     std::vector<bool> replay(points.size(), false);
     for (std::size_t i = 0; i < points.size(); ++i)
         keys[i] = pointKey(points[i]);
     if (config_.useStreamReplay) {
-        std::vector<std::string> programs(points.size());
+        std::vector<std::string> streams(points.size());
         std::map<std::string_view, std::set<std::string_view>> users;
         for (std::size_t i = 0; i < points.size(); ++i) {
-            programs[i] = streamKey(points[i].app,
-                                    points[i].config.compiler,
-                                    points[i].entry);
-            users[programs[i]].insert(keys[i]);
+            streams[i] = streamKey(points[i].app, points[i].config,
+                                   points[i].entry);
+            users[streams[i]].insert(keys[i]);
         }
         for (std::size_t i = 0; i < points.size(); ++i)
-            replay[i] = users.at(programs[i]).size() >= kMinStreamUsers;
+            replay[i] = users.at(streams[i]).size() >= kMinStreamUsers;
     }
 
     std::vector<std::function<void()>> tasks;

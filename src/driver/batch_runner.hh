@@ -60,13 +60,15 @@ inline constexpr const char *kResultCacheVersion = "cwsp-results-v1";
 
 /**
  * Fewest distinct design points of one runAll() batch that must share
- * a program (module + entry) before its commit stream is recorded and
- * replayed rather than each point interpreted. Measured single-
- * threaded over the 38-app roster (Release, host ns per committed
- * instruction): recording R ~ 50, interpreted run() I ~ 60, runReplay
- * P ~ 38. A stream for n points costs R + n*P against n*I, so it pays
- * once n > R / (I - P) ~ 2.3: at n = 2 the stream loses, at n = 3 it
- * wins.
+ * a stream (module + entry + cache tag geometry) before it is
+ * recorded and replayed rather than each point interpreted. Measured
+ * single-threaded over the 38-app roster x 6 schemes (Release, host
+ * ns per committed instruction): recording R ~ 52, interpreted run()
+ * I ~ 37, runReplay P ~ 9 with recorded cache outcomes. A stream for
+ * n points costs R + n*P against n*I, so it pays once
+ * n > R / (I - P) ~ 1.9: at n = 2 it saves about 5 %, within
+ * run-to-run noise, for a stream's resident bytes; at n = 3 it saves
+ * about 30 %.
  */
 inline constexpr std::size_t kMinStreamUsers = 3;
 
@@ -107,7 +109,8 @@ struct BatchConfig
      * Let runAll() drive a program's simulations from a recorded
      * commit stream instead of the interpreter when at least
      * kMinStreamUsers distinct points of the batch run that program
-     * (results, stats, and traces are bit-identical either way — the
+     * on one cache tag geometry (results, stats, and traces are
+     * bit-identical either way — the
      * disk cache stays valid). A recording costs more than two
      * replays save over interpreting, so a stream shared by fewer
      * points is slower than interpreting them; those points, and
@@ -180,9 +183,9 @@ class BatchRunner
      * Evaluate @p points across the worker pool. Results are returned
      * in input order and are bit-identical to calling run() on each
      * point sequentially, for any jobs count. Before dispatching,
-     * the batch is planned: a program shared by at least
-     * kMinStreamUsers distinct points is recorded once and replayed
-     * for each of them; every other point interprets.
+     * the batch is planned: a program and tag geometry shared by at
+     * least kMinStreamUsers distinct points is recorded once and
+     * replayed for each of them; every other point interprets.
      */
     std::vector<core::RunResult>
     runAll(const std::vector<DesignPoint> &points);
@@ -213,17 +216,20 @@ class BatchRunner
               const compiler::CompilerOptions &options);
 
     /**
-     * Commit-stream cache lookup: record the (module, entry) commit
-     * stream once, then share it read-only across every design point
-     * that simulates the same program (thread-safe, in-flight
-     * de-duplicated, LRU-bounded by BatchConfig::streamCacheMb).
+     * Commit-stream cache lookup: record the commit stream of
+     * (module, entry), with the cache outcomes of @p config's tag
+     * geometry, once, then share it read-only across every design
+     * point that simulates the same program on the same geometry
+     * (thread-safe, in-flight de-duplicated, LRU-bounded by
+     * BatchConfig::streamCacheMb).
      *
-     * @param mod the already-resolved module for (app, options), if
-     * the caller holds one; null falls back to moduleFor().
+     * @param mod the already-resolved module for (app,
+     * config.compiler), if the caller holds one; null falls back to
+     * moduleFor().
      */
     std::shared_ptr<const core::CommitStream>
     streamFor(const workloads::AppProfile &app,
-              const compiler::CompilerOptions &options,
+              const core::SystemConfig &config,
               const std::string &entry, std::uint64_t max_instrs,
               std::shared_ptr<const ir::Module> mod = nullptr);
 

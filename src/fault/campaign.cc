@@ -484,7 +484,8 @@ runCase(const CampaignCase &c, const GoldenRef &golden,
             if (out.source == core::ExecSource::Fork)
                 golden.ckptCache->noteFork();
             else
-                golden.ckptCache->noteFallback();
+                golden.ckptCache->noteFallback(
+                    fork ? out.refusal : core::SourceRefusal::None);
         }
         r.ran = true;
         r.crashed = out.crashed;
@@ -683,14 +684,16 @@ runCampaign(const CampaignOptions &options)
                     *ctx.module, ctx.goldenMemory, "main", {});
                 ctx.goldenIo =
                     core::collectIoStream(*ctx.module, "main", {});
-                // Record the commit stream once; every case of this
-                // context then replays its pristine epochs instead of
-                // re-interpreting them. Battery-backed schemes never
-                // replay (they need a live snapshot at the crash
-                // instant), so skip the recording.
+                // Record the commit stream once, with the cache
+                // outcomes of this context's geometry; every case of
+                // this context then replays its pristine epochs
+                // instead of re-interpreting them. Battery-backed
+                // schemes never replay (they need a live snapshot at
+                // the crash instant), so skip the recording.
                 if (!ctx.config.scheme.batteryBacked) {
                     ctx.stream = core::recordCommitStream(
-                        *ctx.module, "main", {}, options.maxInstrs,
+                        *ctx.module, "main", {}, ctx.config.hierarchy,
+                        options.maxInstrs,
                         workloads::estimatedInstrs(profile));
                     ctx.hasStream = true;
                 }
@@ -868,6 +871,7 @@ runCampaign(const CampaignOptions &options)
         report.ckptCache.forks = cs.forks;
         report.ckptCache.evictions = cs.evictions;
         report.ckptCache.fallbacks = cs.fallbacks;
+        report.ckptCache.fallbackCauses = cs.fallbackCauses;
         report.ckptCache.bytesResident = cs.bytesResident;
         report.ckptCache.entries = cs.entries;
     }
@@ -890,7 +894,14 @@ CampaignReport::writeJson(std::ostream &os) const
        << ", \"forks\": " << ckptCache.forks
        << ", \"evictions\": " << ckptCache.evictions
        << ", \"fallbacks\": " << ckptCache.fallbacks
-       << ", \"bytes_resident\": " << ckptCache.bytesResident
+       << ", \"fallback_causes\": {";
+    const char *sep = "";
+    ckptCache.fallbackCauses.forEach(
+        [&](const char *cause, std::uint64_t n) {
+            os << sep << '"' << cause << "\": " << n;
+            sep = ", ";
+        });
+    os << "}, \"bytes_resident\": " << ckptCache.bytesResident
        << ", \"entries\": " << ckptCache.entries << "}";
     os << ",\n  \"recovery\": [";
     for (std::size_t i = 0; i < recovery.size(); ++i) {
@@ -953,6 +964,11 @@ CampaignReport::fillStats(StatsRegistry &reg) const
         reg.counter("ckpt.forks").inc(ckptCache.forks);
         reg.counter("ckpt.evictions").inc(ckptCache.evictions);
         reg.counter("ckpt.fallbacks").inc(ckptCache.fallbacks);
+        ckptCache.fallbackCauses.forEach(
+            [&](const char *cause, std::uint64_t n) {
+                reg.counter(std::string("ckpt.fallback_causes.") + cause)
+                    .inc(n);
+            });
         reg.counter("ckpt.bytes_resident")
             .inc(ckptCache.bytesResident);
         reg.counter("ckpt.entries").inc(ckptCache.entries);

@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sim_checkpoint.hh"
 #include "fault/crash_points.hh"
 #include "fault/fault_model.hh"
 #include "workloads/concurrent.hh"
@@ -163,7 +164,9 @@ struct CaseResult
  * Checkpoint-cache behaviour over a forked campaign. Fallbacks > 0
  * means the CWSP_CKPT_CACHE_MB byte cap (or an identity mismatch)
  * degraded part of the sweep to from-scratch execution — slower,
- * never wrong.
+ * never wrong. fallbackCauses says which: a missing checkpoint
+ * (evicted or never captured) or each reason the simulator refused
+ * one.
  */
 struct CkptCacheReport
 {
@@ -172,6 +175,7 @@ struct CkptCacheReport
     std::uint64_t forks = 0;
     std::uint64_t evictions = 0;
     std::uint64_t fallbacks = 0;
+    core::FallbackCauses fallbackCauses;
     std::uint64_t bytesResident = 0;
     std::uint64_t entries = 0;
 };

@@ -13,6 +13,10 @@ Cache::Cache(const CacheConfig &config) : config_(config)
                 "cache size not divisible into sets: ", config.name);
     numSets_ = config.sizeBytes / (config.ways * kCachelineBytes);
     cwsp_assert(numSets_ > 0, "cache has no sets: ", config.name);
+    // Sets are indexed with a mask, not a modulo.
+    cwsp_assert((numSets_ & (numSets_ - 1)) == 0, "cache ", config.name,
+                " has ", numSets_, " sets, not a power of two");
+    setMask_ = numSets_ - 1;
 
     std::uint64_t slots = numSets_ * config.ways;
     dense_ = slots <= kDenseSlotLimit;
@@ -115,15 +119,16 @@ Cache::invalidate(Addr line)
 }
 
 void
-Cache::captureState(sim::StateWriter &w) const
+Cache::captureState(sim::StateWriter &w, bool tags) const
 {
     // Dense caches have a fixed slot count; sparse ones capture the
     // slabs allocated so far plus the directory mapping sets to them
     // (slab order is allocation order, which the capture preserves,
     // so restored future allocations extend identically).
-    w.sizedArray(lines_.data(), lines_.size());
-    w.array(lastUse_.data(), lastUse_.size());
-    w.array(meta_.data(), meta_.size());
+    const std::size_t slots = tags ? lines_.size() : 0;
+    w.sizedArray(lines_.data(), slots);
+    w.array(lastUse_.data(), slots);
+    w.array(meta_.data(), slots);
     setDir_.captureState(w);
     w.pod(useClock_);
     w.pod(hits_);
@@ -135,12 +140,15 @@ void
 Cache::restoreState(sim::StateReader &r)
 {
     auto slots = static_cast<std::size_t>(r.count());
-    cwsp_assert(dense_ ? slots == lines_.size() : true,
+    // Zero slots from a dense cache: captured without tags.
+    cwsp_assert(dense_ ? slots == lines_.size() || slots == 0 : true,
                 "dense cache restore with mismatched geometry: ",
                 config_.name);
-    lines_.resize(slots);
-    lastUse_.resize(slots);
-    meta_.resize(slots);
+    if (!dense_) {
+        lines_.resize(slots);
+        lastUse_.resize(slots);
+        meta_.resize(slots);
+    }
     r.array(lines_.data(), slots);
     r.array(lastUse_.data(), slots);
     r.array(meta_.data(), slots);

@@ -25,7 +25,10 @@
 
 namespace cwsp::mem {
 
-/** Geometry and latency of one cache level. */
+/**
+ * Geometry and latency of one cache level. The set count,
+ * sizeBytes / (ways x 64), must be a power of two.
+ */
 struct CacheConfig
 {
     std::string name = "cache";
@@ -84,9 +87,11 @@ class Cache
      * Checkpointing: the full SoA slot arrays (sparse caches capture
      * only the lazily-allocated slabs plus the set directory), the
      * LRU clock, and the counters. Restore requires a cache built
-     * with the same geometry.
+     * with the same geometry. With @p tags false the slot arrays are
+     * written empty, for a cache whose tags were never walked;
+     * restoring that leaves a freshly built cache's tags empty.
      */
-    void captureState(sim::StateWriter &w) const;
+    void captureState(sim::StateWriter &w, bool tags = true) const;
     void restoreState(sim::StateReader &r);
 
   private:
@@ -98,6 +103,7 @@ class Cache
 
     CacheConfig config_;
     std::uint64_t numSets_;
+    std::uint64_t setMask_; ///< numSets_ - 1 (a power of two)
     bool dense_;
 
     /** SoA slot arrays; slot = setBase + way. */
@@ -115,7 +121,7 @@ class Cache
     std::uint64_t
     setIndex(Addr line) const
     {
-        return (line / kCachelineBytes) % numSets_;
+        return (line / kCachelineBytes) & setMask_;
     }
 
     /**

@@ -6,6 +6,25 @@
 
 namespace cwsp::mem {
 
+std::string
+tagGeometryKey(const HierarchyConfig &config)
+{
+    std::string key = "sram[";
+    for (const auto &lvl : config.sramLevels) {
+        key += std::to_string(lvl.sizeBytes) + "x" +
+               std::to_string(lvl.ways) +
+               (lvl.sharedAcrossCores ? "s;" : "p;");
+    }
+    key += "],dram$=";
+    if (config.hasDramCache) {
+        key += std::to_string(config.dramCache.sizeBytes) + "x" +
+               std::to_string(config.dramCache.ways);
+    } else {
+        key += "none";
+    }
+    return key;
+}
+
 HierarchyConfig
 defaultHierarchy()
 {
@@ -115,6 +134,9 @@ Hierarchy::Hierarchy(const HierarchyConfig &config,
     cwsp_assert(!config.sramLevels[0].sharedAcrossCores,
                 "L1D must be private");
     cwsp_assert(config.numMcs > 0, "need at least one MC");
+    cwsp_assert(config.sramLevels.size() <= tag_outcome::kMaxSramLevels,
+                "at most ", tag_outcome::kMaxSramLevels,
+                " SRAM levels fit a tag outcome");
 
     caches_.resize(config.sramLevels.size());
     for (std::size_t lvl = 0; lvl < config.sramLevels.size(); ++lvl) {
@@ -149,101 +171,129 @@ Hierarchy::cacheAt(std::size_t level, CoreId core)
     return instances.size() == 1 ? *instances[0] : *instances[core];
 }
 
-std::uint32_t
-Hierarchy::handleEviction(std::size_t level, CoreId core, Addr line,
-                          Tick now)
+bool
+Hierarchy::writeBackBelow(std::size_t level, CoreId core, Addr line,
+                          Addr &charged)
 {
-    std::uint32_t stall = 0;
-
-    if (level == 0) {
-        // L1D dirty evictions pass through the write buffer; the
-        // stale-read rule may hold them until the line's persist
-        // completes.
-        Tick ready = 0;
-        if (config_.wbPersistDelay && persistReadyHook)
-            ready = persistReadyHook(line);
-        auto &wb = writeBuffer(core);
-        wbOccupancy_.sample(
-            static_cast<double>(wb.occupancyAt(now)));
-        Tick proceed = wb.insert(now, line, ready);
-        stall += static_cast<std::uint32_t>(proceed - now);
-        if (trace_ && proceed > now && ready > now) {
-            trace_->record(sim::TraceEventKind::WbPersistDelay,
-                           sim::coreLane(core), now, proceed - now,
-                           line);
-        }
-    }
-
-    // Install the dirty line into the next level down.
-    std::size_t next = level + 1;
-    if (next < caches_.size()) {
+    // Each dirty line installs into the next level down and may push
+    // that level's dirty victim on, until one lands without a dirty
+    // victim or leaves the last cache level.
+    for (std::size_t next = level + 1; next < caches_.size(); ++next) {
         auto res = cacheAt(next, core).access(line, true);
-        if (res.evictedValid && res.evictedDirty)
-            stall += handleEviction(next, core, res.evictedLine, now);
-        return stall;
+        if (!(res.evictedValid && res.evictedDirty))
+            return false;
+        line = res.evictedLine;
     }
     if (dram_) {
         auto res = dram_->access(line, true);
-        if (res.evictedValid && res.evictedDirty &&
-            !config_.dropLlcDirtyEvictions) {
-            mc(mcFor(res.evictedLine))
-                .chargeEviction(now, kCachelineBytes);
-        }
-        if (res.evictedValid && res.evictedDirty)
-            stall += config_.dramEvictionDelay;
-        return stall;
+        if (!(res.evictedValid && res.evictedDirty))
+            return false;
+        line = res.evictedLine;
     }
-    // No DRAM cache: the dirty line writes back to NVM.
+    charged = line;
+    return true;
+}
+
+TagOutcome
+Hierarchy::walk(CoreId core, Addr line, bool is_write, Addr *victims)
+{
+    using namespace tag_outcome;
+    TagOutcome flags = 0;
+    unsigned charges = 0;
+    Addr *v = victims;
+    auto code = [&](TagOutcome served) {
+        return static_cast<TagOutcome>(served | flags |
+                                       charges << kChargeShift);
+    };
+    const std::size_t levels = caches_.size();
+    for (std::size_t lvl = 0; lvl < levels; ++lvl) {
+        auto res =
+            cacheAt(lvl, core).access(line, is_write && lvl == 0);
+        if (res.hit)
+            return code(static_cast<TagOutcome>(lvl));
+        if (res.evictedValid && res.evictedDirty) {
+            if (lvl == 0) {
+                flags |= kL1DirtyVictim;
+                *v++ = res.evictedLine;
+            }
+            if (writeBackBelow(lvl, core, res.evictedLine, *v)) {
+                ++v;
+                ++charges;
+            }
+        }
+    }
+    if (dram_) {
+        auto res = dram_->access(line, false);
+        if (res.evictedValid && res.evictedDirty) {
+            *v++ = res.evictedLine;
+            ++charges;
+        }
+        if (res.hit)
+            return code(static_cast<TagOutcome>(levels));
+    }
+    return code(kServedNvm);
+}
+
+std::uint32_t
+Hierarchy::insertWb(CoreId core, Addr line, Tick now)
+{
+    // L1D dirty evictions pass through the write buffer; the
+    // stale-read rule may hold them until the line's persist
+    // completes.
+    Tick ready = 0;
+    if (config_.wbPersistDelay && persistReadyHook)
+        ready = persistReadyHook(line);
+    auto &wb = writeBuffer(core);
+    wbOccupancy_.sample(static_cast<double>(wb.occupancyAt(now)));
+    Tick proceed = wb.insert(now, line, ready);
+    if (trace_ && proceed > now && ready > now) {
+        trace_->record(sim::TraceEventKind::WbPersistDelay,
+                       sim::coreLane(core), now, proceed - now, line);
+    }
+    return static_cast<std::uint32_t>(proceed - now);
+}
+
+std::uint32_t
+Hierarchy::chargeWriteBack(Addr line, Tick now)
+{
+    // Persist-path schemes already delivered the data. Capri waits
+    // out its proxy-buffer scan on every DRAM-cache dirty eviction.
     if (!config_.dropLlcDirtyEvictions)
         mc(mcFor(line)).chargeEviction(now, kCachelineBytes);
-    return stall;
+    return dram_ ? config_.dramEvictionDelay : 0;
 }
 
 AccessOutcome
-Hierarchy::access(CoreId core, Addr addr, bool is_write, Tick now)
+Hierarchy::apply(CoreId core, Addr addr, Tick now, TagOutcome tag,
+                 const Addr *&victims)
 {
+    using namespace tag_outcome;
     AccessOutcome out;
-    Addr line = lineAlign(addr);
-    Addr word = wordAlign(addr);
-
+    const std::size_t served = tag & kServedMask;
     ++l1DemandAccesses_;
-    // SRAM walk.
-    for (std::size_t lvl = 0; lvl < caches_.size(); ++lvl) {
-        auto res =
-            cacheAt(lvl, core).access(line, is_write && lvl == 0);
-        if (res.hit) {
-            out.servedBy = ServedBy::Sram;
-            out.sramLevel = static_cast<std::uint32_t>(lvl);
-            out.latency +=
-                (lvl == 0 && config_.chargeFirstLevelAsOne)
-                    ? 1
-                    : config_.sramLevels[lvl].hitLatency;
-            return out;
-        }
-        if (res.evictedValid && res.evictedDirty) {
-            std::uint32_t stall =
-                handleEviction(lvl, core, res.evictedLine, now);
-            out.latency += stall;
-            out.evictionStall += stall;
-        }
-        if (lvl == 0)
-            ++l1DemandMisses_;
-    }
+    if (served != 0)
+        ++l1DemandMisses_;
 
-    // DRAM cache.
+    // Eviction traffic, in walk order: the L1 victim, then each line
+    // leaving the last cache level.
+    std::uint32_t stall = 0;
+    if (tag & kL1DirtyVictim)
+        stall += insertWb(core, *victims++, now);
+    for (unsigned k = tag >> kChargeShift; k != 0; --k)
+        stall += chargeWriteBack(*victims++, now);
+    out.latency = stall;
+    out.evictionStall = stall;
+
+    if (served < caches_.size()) {
+        out.servedBy = ServedBy::Sram;
+        out.sramLevel = static_cast<std::uint32_t>(served);
+        out.latency += (served == 0 && config_.chargeFirstLevelAsOne)
+                           ? 1
+                           : config_.sramLevels[served].hitLatency;
+        return out;
+    }
     if (dram_) {
-        auto res = dram_->access(line, false);
-        if (res.evictedValid && res.evictedDirty &&
-            !config_.dropLlcDirtyEvictions) {
-            mc(mcFor(res.evictedLine))
-                .chargeEviction(now, kCachelineBytes);
-        }
-        if (res.evictedValid && res.evictedDirty &&
-            config_.dramEvictionDelay > 0) {
-            out.latency += config_.dramEvictionDelay;
-            out.evictionStall += config_.dramEvictionDelay;
-        }
-        if (res.hit) {
+        if (served == caches_.size()) {
             ++dramHits_;
             out.servedBy = ServedBy::DramCache;
             out.latency += config_.dramCache.hitLatency;
@@ -253,8 +303,9 @@ Hierarchy::access(CoreId core, Addr addr, bool is_write, Tick now)
     }
 
     // NVM read.
+    const Addr word = wordAlign(addr);
     ++nvmReads_;
-    McId m = mcFor(line);
+    McId m = mcFor(addr);
     out.servedBy = ServedBy::Nvm;
     out.mc = m;
     std::uint32_t lat = mc(m).readLatency();
@@ -275,6 +326,41 @@ Hierarchy::access(CoreId core, Addr addr, bool is_write, Tick now)
     }
     out.latency += lat;
     return out;
+}
+
+// Every interpreted and replayed memory commit passes through here:
+// flatten keeps walk and apply one function, as the demand access was
+// before they split, and the cold panic stays out of line.
+[[gnu::flatten]] AccessOutcome
+Hierarchy::access(CoreId core, Addr addr, bool is_write, Tick now)
+{
+    if (replaying_) {
+        if (tape_ == tapeEnd_)
+            outcomesExhausted();
+        return apply(core, addr, now, *tape_++, tapeVictims_);
+    }
+    Addr victims[tag_outcome::kMaxVictims];
+    const TagOutcome tag = walk(core, lineAlign(addr), is_write, victims);
+    const Addr *v = victims;
+    return apply(core, addr, now, tag, v);
+}
+
+void
+Hierarchy::outcomesExhausted() const
+{
+    cwsp_panic("replayed tag outcomes ran out before the accesses");
+}
+
+void
+Hierarchy::replayOutcomes(const std::vector<TagOutcome> &outcomes,
+                          const std::vector<Addr> &victims)
+{
+    cwsp_assert(l1DemandAccesses_ == 0,
+                "outcome replay must start on untouched tags");
+    replaying_ = true;
+    tape_ = outcomes.data();
+    tapeEnd_ = tape_ + outcomes.size();
+    tapeVictims_ = victims.data();
 }
 
 void
@@ -308,9 +394,9 @@ Hierarchy::captureState(sim::StateWriter &w) const
 {
     for (const auto &level : caches_)
         for (const auto &cache : level)
-            cache->captureState(w);
+            cache->captureState(w, !replaying_);
     if (dram_)
-        dram_->captureState(w);
+        dram_->captureState(w, !replaying_);
     for (const auto &wb : wbs_)
         wb->captureState(w);
     for (const auto &m : mcs_)

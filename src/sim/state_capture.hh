@@ -104,7 +104,10 @@ class StateReader
                       "state capture is memcpy-based");
         cwsp_assert(pos_ + n * sizeof(T) <= size_,
                     "state restore past end of capture buffer");
-        std::memcpy(p, data_ + pos_, n * sizeof(T));
+        // An empty array may have no storage: memcpy from or to a
+        // null pointer is undefined even for zero bytes.
+        if (n != 0)
+            std::memcpy(p, data_ + pos_, n * sizeof(T));
         pos_ += n * sizeof(T);
     }
 

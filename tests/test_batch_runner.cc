@@ -390,6 +390,48 @@ TEST(BatchPlan, PlannedBatchMatchesInterpretationBitExactly)
     }
 }
 
+TEST(BatchPlan, OneStreamPerTagGeometry)
+{
+    // One program swept over three PB capacities on each of two tag
+    // geometries: the geometry is part of the stream's identity, so
+    // each trio records its own stream and replays its own outcomes.
+    std::vector<driver::DesignPoint> points;
+    for (bool deep : {false, true}) {
+        for (std::uint32_t pb : {20u, 40u, 60u}) {
+            auto cfg = core::makeSystemConfig("cwsp");
+            if (deep) {
+                const bool drop = cfg.hierarchy.dropLlcDirtyEvictions;
+                cfg.hierarchy = mem::threeLevelHierarchy();
+                cfg.hierarchy.dropLlcDirtyEvictions = drop;
+                core::syncFeatureFlags(cfg);
+            }
+            cfg.scheme.pbCapacity = pb;
+            points.push_back(
+                driver::DesignPoint{tinyApp("t-geom", 80), cfg});
+        }
+    }
+
+    auto noReplay = memOnly(1);
+    noReplay.useStreamReplay = false;
+    driver::BatchRunner reference(noReplay);
+    auto expected = reference.runAll(points);
+
+    for (unsigned jobs : {1u, 3u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        driver::BatchRunner runner(memOnly(jobs));
+        auto got = runner.runAll(points);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            SCOPED_TRACE(i);
+            expectSameResult(expected[i], got[i]);
+        }
+        auto st = runner.stats();
+        EXPECT_EQ(st.streamsRecorded, 2u);
+        EXPECT_EQ(st.replayedRuns, 6u);
+        EXPECT_EQ(st.interpretedRuns, 0u);
+    }
+}
+
 TEST(BatchPlan, LoneRunInterprets)
 {
     driver::BatchRunner runner(memOnly(1));
@@ -471,6 +513,33 @@ TEST(CommitStreamRecorder, BatchesConstantCostStepsInOnePass)
     }
     EXPECT_TRUE(s.snapRefs.empty());
     EXPECT_TRUE(s.frames.empty());
+}
+
+TEST(CommitStreamRecorder, OneTagOutcomePerMemoryOp)
+{
+    auto app = tinyApp("t-tags", 200);
+    auto mod =
+        workloads::buildApp(app, core::makeSystemConfig("cwsp").compiler);
+    auto s = core::recordCommitStream(*mod, "main", {});
+    EXPECT_EQ(s.geometry, mem::tagGeometryKey(mem::defaultHierarchy()));
+
+    std::size_t memOps = 0;
+    for (const auto &op : s.ops) {
+        const auto k = static_cast<interp::CommitKind>(op.kind);
+        memOps += k == interp::CommitKind::Load ||
+                  k == interp::CommitKind::Store ||
+                  k == interp::CommitKind::Atomic;
+    }
+    ASSERT_GT(memOps, 0u);
+    EXPECT_EQ(s.outcomes.size(), memOps);
+    std::size_t victims = 0;
+    for (mem::TagOutcome t : s.outcomes)
+        victims += mem::tag_outcome::victims(t);
+    EXPECT_EQ(s.victims.size(), victims);
+    // The stream-cache cap counts the outcomes and their victims.
+    EXPECT_GE(s.memoryBytes(), s.ops.size() * sizeof(core::CommitStream::Op) +
+                                   s.outcomes.size() +
+                                   s.victims.size() * sizeof(Addr));
 }
 
 TEST(CommitStreamRecorder, SnapshotsLineUpWithBoundaryOps)

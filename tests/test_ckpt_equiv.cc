@@ -165,6 +165,59 @@ TEST(CkptEquiv, AllAppsAllSchemesForkedIdentical)
 }
 
 /**
+ * Checkpoints captured during an outcome replay hold no cache tags: a
+ * fork never reads one (it restores at its own crash tick, and the
+ * crash empties every cache before the next epoch starts). Forks from
+ * them must equal from-scratch runs, and each must be smaller than the
+ * checkpoint an interpreted capture takes at the same tick.
+ */
+TEST(CkptEquiv, ReplayCapturedCheckpointsHoldNoTags)
+{
+    std::vector<core::ThreadSpec> threads(1);
+    for (const std::string scheme : {"cwsp", "psp"}) {
+        SCOPED_TRACE(scheme);
+        auto cfg = core::makeSystemConfig(scheme);
+        auto mod = workloads::buildApp(workloads::appByName("astar"),
+                                       cfg.compiler);
+        auto stream =
+            core::recordCommitStream(*mod, "main", {}, cfg.hierarchy);
+
+        core::WholeSystemSim probe(*mod, cfg);
+        const Tick cycles = probe.runReplay(stream).cycles;
+        const std::vector<Tick> ticks = {cycles / 5, cycles / 2,
+                                         (cycles * 4) / 5};
+
+        core::WholeSystemSim replayed(*mod, cfg);
+        auto tagless = replayed.captureCheckpoints(threads, ticks,
+                                                   200'000'000, &stream);
+        core::WholeSystemSim interpreted(*mod, cfg);
+        auto tagged = interpreted.captureCheckpoints(threads, ticks);
+        expectSameResult(tagged.result, tagless.result);
+        ASSERT_EQ(tagless.checkpoints.size(), ticks.size());
+        ASSERT_EQ(tagged.checkpoints.size(), ticks.size());
+
+        for (std::size_t i = 0; i < ticks.size(); ++i) {
+            SCOPED_TRACE("tick " + std::to_string(ticks[i]));
+            EXPECT_LT(tagless.checkpoints[i]->bytes(),
+                      tagged.checkpoints[i]->bytes());
+
+            fault::CrashSchedule schedule{ticks[i]};
+            core::WholeSystemSim scratch(*mod, cfg);
+            auto ref = scratch.runWithCrashes(threads, schedule);
+            std::string refJson = statsJson(scratch);
+
+            core::WholeSystemSim forked(*mod, cfg);
+            auto got = forked.runWithCrashes(
+                threads, schedule, {}, 200'000'000, &stream,
+                tagless.checkpoints[i].get());
+            EXPECT_EQ(got.source, core::ExecSource::Fork);
+            expectSameCrashResult(ref, got);
+            EXPECT_EQ(refJson, statsJson(forked));
+        }
+    }
+}
+
+/**
  * The trace ring after a forked run must be byte-identical to the
  * from-scratch ring: the checkpoint carries the capture-instant ring
  * window, and the forked tail appends to it exactly where the

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/memory_controller.hh"
@@ -73,6 +78,19 @@ TEST(Cache, InvalidateReturnsDirtiness)
     EXPECT_TRUE(c.invalidate(0x40));
     EXPECT_FALSE(c.probe(0x40));
     EXPECT_FALSE(c.invalidate(0x40));
+}
+
+TEST(Cache, RejectsSetCountsThatAreNotPowersOfTwo)
+{
+    // Three sets of two ways: the set index is a mask, so a set count
+    // it cannot express must be refused, naming the cache.
+    try {
+        Cache c(tinyCache(3 * 2 * 64, 2));
+        FAIL() << "a 3-set cache was accepted";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("tiny"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Cache, LazySetsScaleToFootprint)
@@ -310,6 +328,69 @@ TEST(Hierarchy, NoDramCacheGoesStraightToNvm)
         h.access(0, 0x40000000 + a, false, 0);
     auto again = h.access(0, 0x40000000, false, 1000);
     EXPECT_EQ(again.servedBy, ServedBy::Nvm);
+}
+
+TEST(Hierarchy, ReplayedOutcomesMatchLiveWalkUnderOtherTiming)
+{
+    // Outcomes walked on one hierarchy drive another of the same tag
+    // geometry but other timing exactly as that one's own walk does.
+    auto geom = defaultHierarchy();
+    geom.sramLevels[0].sizeBytes = 1024;
+    geom.sramLevels[1].sizeBytes = 4096;
+    geom.sramLevels[1].ways = 1;
+    geom.dramCache.sizeBytes = 16 * 1024;
+    auto timed = geom;
+    timed.sramLevels[1].hitLatency = 30;
+    timed.dramEvictionDelay = 40;
+    timed.wbCapacity = 4;
+    timed.chargeFirstLevelAsOne = false;
+    ASSERT_EQ(tagGeometryKey(geom), tagGeometryKey(timed));
+    timed.hasDramCache = false;
+    ASSERT_NE(tagGeometryKey(geom), tagGeometryKey(timed));
+    timed.hasDramCache = true;
+
+    // Mostly stores over 2,048 lines: dirty lines spill from every
+    // level, so outcomes carry L1 victims and MC charges.
+    std::vector<std::pair<Addr, bool>> seq;
+    for (Addr i = 0; i < 6000; ++i)
+        seq.push_back({0x40000000 + (i * 7919 % 2048) * 64 + 8, i % 3 != 0});
+
+    Hierarchy walker(geom, 1);
+    std::vector<TagOutcome> outcomes;
+    std::vector<Addr> victims;
+    for (const auto &[addr, write] : seq) {
+        Addr v[tag_outcome::kMaxVictims];
+        const TagOutcome t = walker.walk(0, lineAlign(addr), write, v);
+        outcomes.push_back(t);
+        victims.insert(victims.end(), v, v + tag_outcome::victims(t));
+    }
+    ASSERT_FALSE(victims.empty());
+
+    Hierarchy live(timed, 1);
+    Hierarchy fed(timed, 1);
+    fed.replayOutcomes(outcomes, victims);
+    Tick now = 0;
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        SCOPED_TRACE(i);
+        const auto [addr, write] = seq[i];
+        const AccessOutcome a = live.access(0, addr, write, now);
+        const AccessOutcome b = fed.access(0, addr, write, now);
+        ASSERT_EQ(a.latency, b.latency);
+        ASSERT_EQ(a.evictionStall, b.evictionStall);
+        ASSERT_EQ(a.servedBy, b.servedBy);
+        ASSERT_EQ(a.sramLevel, b.sramLevel);
+        ASSERT_EQ(a.wpqHit, b.wpqHit);
+        now += 3;
+    }
+    EXPECT_EQ(fed.outcomesLeft(), 0u);
+    EXPECT_EQ(live.l1Misses(), fed.l1Misses());
+    EXPECT_EQ(live.dramCacheHits(), fed.dramCacheHits());
+    EXPECT_EQ(live.dramCacheMisses(), fed.dramCacheMisses());
+    EXPECT_EQ(live.nvmReads(), fed.nvmReads());
+    EXPECT_EQ(live.meanWbOccupancy(), fed.meanWbOccupancy());
+    EXPECT_GT(live.meanWbOccupancy(), 0.0);
+    for (McId m = 0; m < live.numMcs(); ++m)
+        EXPECT_EQ(live.mc(m).evictionWrites(), fed.mc(m).evictionWrites());
 }
 
 TEST(Hierarchy, McInterleavingByLine)

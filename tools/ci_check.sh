@@ -45,11 +45,15 @@ for san in "${SANITIZERS[@]}"; do
     ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
     echo "== $san: replay-equivalence smoke =="
     # The full ctest pass above already runs test_replay_equiv; this
-    # re-runs the trace/crash bit-identity cases standalone so a
-    # replay divergence under the sanitizer fails with its own banner
-    # instead of disappearing into the suite summary.
+    # re-runs the trace/crash bit-identity cases and both cache-outcome
+    # sources (recorded for the sim's tag geometry, walked live for
+    # another) standalone so a replay divergence under the sanitizer
+    # fails with its own banner instead of disappearing into the suite
+    # summary.
     "$dir"/tests/test_replay_equiv --gtest_filter=\
-'ReplayEquiv.TraceStreamsIdentical:ReplayEquiv.CrashSweepIdentical'
+'ReplayEquiv.TraceStreamsIdentical:ReplayEquiv.CrashSweepIdentical:'\
+'ReplayEquiv.BothOutcomeSourcesAllAppsAllSchemes:'\
+'ReplayEquiv.OutcomesOfEveryFigureGeometry'
     echo "== $san: invariant smoke (every scheme) =="
     # Online protocol checking over a small batch: attaches the
     # obs::InvariantMonitor to each simulation and fails on any

@@ -498,11 +498,13 @@ runMain(int argc, char **argv)
         g.result = golden;
         g.memory = &golden_mem;
         g.ioStream = &golden_io;
-        // Record the commit stream once so every sweep point replays
-        // its pristine epochs instead of re-interpreting the prefix.
+        // Record the commit stream once, with this config's cache
+        // outcomes, so every sweep point replays its pristine epochs
+        // instead of re-interpreting the prefix.
         core::CommitStream stream;
         if (!cfg.scheme.batteryBacked) {
-            stream = core::recordCommitStream(*mod, "main", {});
+            stream = core::recordCommitStream(*mod, "main", {},
+                                              cfg.hierarchy);
             g.stream = &stream;
         }
         // Capture a checkpoint at every sweep tick in one pass; each
@@ -551,10 +553,12 @@ runMain(int argc, char **argv)
         if (fork_sweep) {
             auto cs = ckpts.stats();
             std::printf("checkpoint cache: %llu captured, %llu "
-                        "forks, %llu fallbacks, %.1f MB resident\n",
+                        "forks, %llu fallbacks (%s), %.1f MB "
+                        "resident\n",
                         (unsigned long long)cs.captures,
                         (unsigned long long)cs.forks,
                         (unsigned long long)cs.fallbacks,
+                        cs.fallbackCauses.describe().c_str(),
                         (double)cs.bytesResident / (1024.0 * 1024.0));
         }
         return failures == 0 ? 0 : 1;
