@@ -1,6 +1,7 @@
 #include "core/commit_stream.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -131,7 +132,8 @@ recordCommitStream(const ir::Module &module, const std::string &entry,
                    const std::vector<Word> &args,
                    const mem::HierarchyConfig &geometry,
                    std::uint64_t max_instrs,
-                   std::uint64_t expected_instrs)
+                   std::uint64_t expected_instrs,
+                   interp::SparseMemory *final_memory)
 {
     CommitStream stream;
     stream.module = &module;
@@ -167,6 +169,8 @@ recordCommitStream(const ir::Module &module, const std::string &entry,
     }
     sink.finish();
     stream.returnValue = interp.returnValue();
+    if (final_memory)
+        *final_memory = std::move(memory);
 
     stream.ops.shrink_to_fit();
     stream.frames.shrink_to_fit();

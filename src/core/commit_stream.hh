@@ -136,6 +136,12 @@ class CommitStream
  * (same budget semantics as WholeSystemSim::run). @p expected_instrs,
  * when nonzero, pre-sizes the recording slabs (use
  * workloads::estimatedInstrs for profile-derived hints).
+ *
+ * The recording run is a complete functional run, so it also yields
+ * every golden fact of the program: the return value
+ * (CommitStream::returnValue), the device output (its Io ops, see
+ * core::collectIoStream(const CommitStream &)) and, when
+ * @p final_memory is given, the final memory image, moved into it.
  */
 CommitStream recordCommitStream(const ir::Module &module,
                                 const std::string &entry,
@@ -143,7 +149,9 @@ CommitStream recordCommitStream(const ir::Module &module,
                                 const mem::HierarchyConfig &geometry,
                                 std::uint64_t max_instrs =
                                     2'000'000'000,
-                                std::uint64_t expected_instrs = 0);
+                                std::uint64_t expected_instrs = 0,
+                                interp::SparseMemory *final_memory =
+                                    nullptr);
 
 /** recordCommitStream() with mem::defaultHierarchy()'s outcomes. */
 CommitStream recordCommitStream(const ir::Module &module,

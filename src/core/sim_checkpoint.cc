@@ -43,19 +43,6 @@ SimCheckpoint::bytes() const
     return b;
 }
 
-std::string
-FallbackCauses::describe() const
-{
-    std::string out;
-    forEach([&](const char *cause, std::uint64_t n) {
-        if (n == 0)
-            return;
-        out += (out.empty() ? "" : ", ") + std::to_string(n) + " " +
-               cause;
-    });
-    return out.empty() ? "none" : out;
-}
-
 CheckpointCache::CheckpointCache(std::size_t max_bytes)
     : capBytes_(max_bytes != 0 ? max_bytes : defaultCapBytes())
 {
@@ -136,7 +123,7 @@ CheckpointCache::noteFallback(SourceRefusal why)
     if (why == SourceRefusal::None)
         ++stats_.fallbackCauses.missing;
     else
-        ++stats_.fallbackCauses.refused[static_cast<std::size_t>(why)];
+        stats_.fallbackCauses.refused.note(why);
 }
 
 void

@@ -123,23 +123,21 @@ struct FallbackCauses
     /** No checkpoint under the case's key: evicted, or never
      *  captured. */
     std::uint64_t missing = 0;
-    /** Checkpoints found but refused, by SourceRefusal value. */
-    std::array<std::uint64_t, kNumSourceRefusals> refused{};
+    /** Checkpoints found but refused, by reason. */
+    RefusalCounts refused;
 
-    /** Visit ("missing", n), then (sourceRefusalName(r), n) for every
-     *  refusal reason r but None: a fixed order and key set. */
+    /** Visit ("missing", n), then every refusal reason as
+     *  RefusalCounts::forEach does: a fixed order and key set. */
     template <typename F>
     void
     forEach(F &&f) const
     {
         f("missing", missing);
-        for (std::size_t r = 1; r < kNumSourceRefusals; ++r)
-            f(sourceRefusalName(static_cast<SourceRefusal>(r)),
-              refused[r]);
+        refused.forEach(f);
     }
 
     /** The nonzero causes, "42 missing, 3 config"; "none" if none. */
-    std::string describe() const;
+    std::string describe() const { return describeCounts(*this); }
 };
 
 /**

@@ -433,18 +433,42 @@ std::vector<arch::IoRecord>
 collectIoStream(const ir::Module &module, const std::string &entry,
                 const std::vector<Word> &args)
 {
-    std::vector<arch::IoRecord> stream;
+    std::vector<arch::IoRecord> io;
     interp::SparseMemory memory;
-    IoCollectingSink sink(stream);
-    interp::Interpreter interp(module, memory, 0);
-    interp.start(entry, args, sink);
-    std::uint64_t budget = 200'000'000;
-    while (!interp.finished()) {
-        if (interp.committed() >= budget)
-            cwsp_fatal("instruction budget exceeded in ", entry);
-        interp.step(sink);
+    runGolden(module, entry, args, memory, io, 200'000'000);
+    return io;
+}
+
+std::vector<arch::IoRecord>
+collectIoStream(const CommitStream &stream)
+{
+    // Io commits never batch, and a stream pins core 0.
+    std::vector<arch::IoRecord> io;
+    for (const CommitStream::Op &op : stream.ops) {
+        if (op.kind == static_cast<std::uint8_t>(interp::CommitKind::Io))
+            io.push_back(arch::IoRecord{op.addr, op.value, 0, 0});
     }
-    return stream;
+    return io;
+}
+
+Word
+runGolden(const ir::Module &module, const std::string &entry,
+          const std::vector<Word> &args, interp::SparseMemory &memory,
+          std::vector<arch::IoRecord> &io, std::uint64_t max_instrs)
+{
+    IoCollectingSink sink(io);
+    return interp::runToCompletion(module, memory, entry, args,
+                                   max_instrs, &sink);
+}
+
+SourceRefusal
+streamRefusal(const SystemConfig &config, std::size_t threads)
+{
+    if (threads != 1)
+        return SourceRefusal::Multicore;
+    if (config.scheme.batteryBacked)
+        return SourceRefusal::BatteryBacked;
+    return SourceRefusal::None;
 }
 
 WholeSystemSim::WholeSystemSim(const ir::Module &module,
@@ -641,11 +665,17 @@ WholeSystemSim::collectStats(const std::vector<Word> &return_values)
 
 RunResult
 WholeSystemSim::run(const std::vector<ThreadSpec> &threads,
-                    std::uint64_t max_instrs)
+                    std::uint64_t max_instrs, const CommitStream *stream,
+                    ExecSource *source)
 {
     cwsp_assert(threads.size() >= 1 &&
                     threads.size() <= config_.numCores,
                 "thread count must be in [1, numCores]");
+    const ExecSource from = chooseSource(threads, stream, nullptr, 0);
+    if (source)
+        *source = from;
+    if (from == ExecSource::Stream)
+        return runReplay(*stream, max_instrs);
     reset();
     Driver driver(*scheme_, *memory_, nullptr, threads.size(), max_instrs);
     driver.startFresh(*module_, threads);
@@ -708,15 +738,11 @@ WholeSystemSim::chooseSource(const std::vector<ThreadSpec> &threads,
     }
     if (!stream)
         return ExecSource::Interpret;
-    // A stream is the commit sequence of one single-threaded program,
-    // and battery-backed crash handling snapshots live interpreter
-    // state.
-    R streamWhy = R::None;
-    if (threads.size() != 1)
-        streamWhy = R::Multicore;
-    else if (config_.scheme.batteryBacked)
-        streamWhy = R::BatteryBacked;
-    else if (!stream->matches(*module_, threads[0].entry, threads[0].args))
+    // A stream may drive this config and thread count, and it must be
+    // the recording of this very program.
+    R streamWhy = streamRefusal(config_, threads.size());
+    if (streamWhy == R::None &&
+        !stream->matches(*module_, threads[0].entry, threads[0].args))
         streamWhy = stream->module != module_ ? R::Module : R::Threads;
     if (streamWhy == R::None)
         return ExecSource::Stream;

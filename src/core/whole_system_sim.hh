@@ -10,6 +10,8 @@
 #ifndef CWSP_CORE_WHOLE_SYSTEM_SIM_HH
 #define CWSP_CORE_WHOLE_SYSTEM_SIM_HH
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <ostream>
 #include <memory>
@@ -152,6 +154,44 @@ constexpr std::size_t kNumSourceRefusals =
 /** Snake-case name of @p r ("none", "trace_sink", ...). */
 const char *sourceRefusalName(SourceRefusal r);
 
+/**
+ * The nonzero (name, n) pairs @p counts visits through its forEach,
+ * in that order: "42 missing, 3 config"; "none" if there are none.
+ */
+template <typename Counts>
+std::string
+describeCounts(const Counts &counts)
+{
+    std::string out;
+    counts.forEach([&](const char *name, std::uint64_t n) {
+        if (n != 0)
+            out += (out.empty() ? "" : ", ") + std::to_string(n) + " " +
+                   name;
+    });
+    return out.empty() ? "none" : out;
+}
+
+/** One count per SourceRefusal reason. */
+struct RefusalCounts
+{
+    std::array<std::uint64_t, kNumSourceRefusals> n{};
+
+    void note(SourceRefusal r) { ++n[static_cast<std::size_t>(r)]; }
+
+    /** Visit (sourceRefusalName(r), n) for every reason r but None:
+     *  a fixed order and key set. */
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        for (std::size_t r = 1; r < kNumSourceRefusals; ++r)
+            f(sourceRefusalName(static_cast<SourceRefusal>(r)), n[r]);
+    }
+
+    /** The nonzero counts, "3 config, 1 tick"; "none" if none. */
+    std::string describe() const { return describeCounts(*this); }
+};
+
 /** Outcome of a crash-and-recover run. */
 struct CrashRunResult
 {
@@ -221,6 +261,35 @@ collectIoStream(const ir::Module &module, const std::string &entry,
                 const std::vector<Word> &args);
 
 /**
+ * The device-output stream of the run @p stream recorded, read off
+ * its Io ops: the records collectIoStream() interprets the program
+ * for, without interpreting it.
+ */
+std::vector<arch::IoRecord> collectIoStream(const CommitStream &stream);
+
+/**
+ * Every golden fact of an uninterrupted functional run of
+ * (entry, args) from one pass: its final memory image into
+ * @p memory, its device-output stream into @p io, and its return
+ * value, returned. Fatal past @p max_instrs steps.
+ */
+Word runGolden(const ir::Module &module, const std::string &entry,
+               const std::vector<Word> &args,
+               interp::SparseMemory &memory,
+               std::vector<arch::IoRecord> &io,
+               std::uint64_t max_instrs);
+
+/**
+ * Why no commit stream can drive a run of @p threads threads under
+ * @p config: Multicore (a stream drives core 0 only), BatteryBacked
+ * (battery crash handling snapshots live interpreters), or None. The
+ * stream half of WholeSystemSim's source choice; a caller asks it
+ * before recording a stream at all.
+ */
+SourceRefusal streamRefusal(const SystemConfig &config,
+                            std::size_t threads);
+
+/**
  * Config-derived default sampling cadence: a few persist-path round
  * trips, so consecutive samples of the occupancy gauges can actually
  * differ without drowning the run in samples.
@@ -260,9 +329,19 @@ class WholeSystemSim
                    sim::SimArena *arena = nullptr);
     ~WholeSystemSim();
 
-    /** Run @p threads (one per core) to completion with timing. */
+    /**
+     * Run @p threads (one per core) to completion with timing.
+     * @p stream, the commit stream of threads[0], drives the run
+     * instead of the interpreter where the source choice allows it
+     * (one thread, not battery-backed, the same program): the run is
+     * then runReplay(@p stream), whose RunResult, component
+     * statistics and trace are bit-identical to the interpreted run.
+     * @p source, if given, receives which of the two ran.
+     */
     RunResult run(const std::vector<ThreadSpec> &threads,
-                  std::uint64_t max_instrs = 2'000'000'000);
+                  std::uint64_t max_instrs = 2'000'000'000,
+                  const CommitStream *stream = nullptr,
+                  ExecSource *source = nullptr);
 
     /** Single-core convenience. */
     RunResult run(const std::string &entry, std::vector<Word> args = {},
@@ -276,7 +355,9 @@ class WholeSystemSim
      * args) — at a fraction of the cost (no interpretation; runs of
      * constant-cost commits retire arithmetically; under the stream's
      * tag geometry the recorded cache outcomes replace the tag walk).
-     * Single-threaded programs only (the stream pins core 0).
+     * Single-threaded programs only (the stream pins core 0). Unlike
+     * run() given a stream, it replays under battery-backed schemes
+     * too: only their crash handling needs live interpreters.
      */
     RunResult runReplay(const CommitStream &stream,
                         std::uint64_t max_instrs = 2'000'000'000);
@@ -373,9 +454,9 @@ class WholeSystemSim
     const SystemConfig &config() const { return config_; }
 
     /**
-     * Final architectural memory of the last run. Empty after
-     * runReplay(): replay drives only the timing models and keeps no
-     * memory image.
+     * Final architectural memory of the last run. Empty after a
+     * stream-driven run (runReplay(), or run() given a stream):
+     * replay drives only the timing models and keeps no memory image.
      */
     const interp::SparseMemory &memory() const { return *memory_; }
 

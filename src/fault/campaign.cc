@@ -13,7 +13,6 @@
 #include "core/whole_system_sim.hh"
 #include "core/interleave.hh"
 #include "driver/batch_runner.hh"
-#include "interp/interpreter.hh"
 #include "obs/durable_lin.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -211,18 +210,14 @@ struct Context
     std::string scheme;
     core::SystemConfig config;
     std::shared_ptr<const ir::Module> module;
-    Word goldenResult = 0;
-    interp::SparseMemory goldenMemory;
-    std::vector<arch::IoRecord> goldenIo;
-    /** Compiled commit stream replayed by this context's cases. */
-    core::CommitStream stream;
-    bool hasStream = false;
     /**
-     * Crash points plus the fault-free golden run they came from:
+     * Golden facts, the commit stream this context's cases replay, and
+     * the crash points with the fault-free golden run they came from:
      * runCycles is the overhead axis of the Pareto report, runInstrs
-     * sizes every case's crash-recording logs.
+     * sizes every case's crash-recording logs. A concurrent context
+     * keeps only the result and the points.
      */
-    CrashPointSet points;
+    GoldenRun golden;
     /** Campaign-wide checkpoint cache (null = forking disabled). */
     core::CheckpointCache *ckptCache = nullptr;
     /**
@@ -252,11 +247,11 @@ refOf(const Context &ctx)
     GoldenRef g;
     g.module = ctx.module.get();
     g.config = &ctx.config;
-    g.result = ctx.goldenResult;
-    g.memory = &ctx.goldenMemory;
-    g.ioStream = &ctx.goldenIo;
-    g.instrs = ctx.points.runInstrs;
-    g.stream = ctx.hasStream ? &ctx.stream : nullptr;
+    g.result = ctx.golden.result;
+    g.memory = &ctx.golden.memory;
+    g.ioStream = &ctx.golden.io;
+    g.instrs = ctx.golden.points.runInstrs;
+    g.stream = ctx.golden.hasStream ? &ctx.golden.stream : nullptr;
     g.ckptCache = ctx.ckptCache;
     if (ctx.ckptCache)
         g.ckptKeyBase = ckptKeyBaseOf(ctx);
@@ -276,7 +271,7 @@ std::vector<CampaignCase>
 casesFor(const Context &ctx, const CampaignOptions &opt)
 {
     std::vector<CampaignCase> cases;
-    const auto &pts = ctx.points.points;
+    const auto &pts = ctx.golden.points.points;
     if (pts.empty())
         return cases;
 
@@ -600,6 +595,31 @@ runCase(const CampaignCase &c, const GoldenRef &golden,
     return r;
 }
 
+GoldenRun
+prepareGoldenRun(const ir::Module &module, const core::SystemConfig &config,
+                 std::size_t max_per_kind, std::uint64_t max_instrs,
+                 std::uint64_t expected_instrs)
+{
+    const std::vector<core::ThreadSpec> threads{core::ThreadSpec{}};
+    GoldenRun g;
+    if (core::streamRefusal(config, threads.size()) ==
+        core::SourceRefusal::None) {
+        g.stream = core::recordCommitStream(module, "main", {},
+                                            config.hierarchy, max_instrs,
+                                            expected_instrs, &g.memory);
+        g.hasStream = true;
+        g.result = g.stream.returnValue;
+        g.io = core::collectIoStream(g.stream);
+    } else {
+        g.result = core::runGolden(module, "main", {}, g.memory, g.io,
+                                   max_instrs);
+    }
+    g.points = enumerateCrashPoints(module, config, threads, max_per_kind,
+                                    max_instrs,
+                                    g.hasStream ? &g.stream : nullptr);
+    return g;
+}
+
 CampaignReport
 runCampaign(const CampaignOptions &options)
 {
@@ -625,7 +645,11 @@ runCampaign(const CampaignOptions &options)
     // interleaving schedule — parallel, each self-contained. Contexts
     // that run the same program (app, compiler options) share one
     // module from the pool's cache: a concurrent campaign's 3 apps x
-    // 6 schemes x 32 schedules compile 12 programs, not 576.
+    // 6 schemes x 32 schedules compile 12 programs, not 576. A
+    // single-core context interprets its program once: recording the
+    // commit stream yields the golden facts, and replaying it yields
+    // the crash points and the golden timed run (prepareGoldenRun).
+    // Every pass stops at the campaign's instruction budget.
     std::vector<Context> contexts;
     for (std::size_t a = 0; a < options.apps.size(); ++a) {
         const bool conc =
@@ -649,6 +673,7 @@ runCampaign(const CampaignOptions &options)
         for (Context &ctx : contexts) {
             prep.push_back([&ctx, &options, &pool, cache = ckptCache]() {
                 ctx.config = core::makeSystemConfig(ctx.scheme);
+                GoldenRun &golden = ctx.golden;
                 if (ctx.concurrent) {
                     // Multicore golden run: the enumeration pass times
                     // it, and each worker deterministically finishes
@@ -672,35 +697,19 @@ runCampaign(const CampaignOptions &options)
                         ctx.threads.push_back(
                             core::ThreadSpec{"worker", {Word{t}}});
                     }
-                    ctx.goldenResult = cp->params.opsPerWorker;
-                    ctx.points = enumerateCrashPoints(
+                    golden.result = cp->params.opsPerWorker;
+                    golden.points = enumerateCrashPoints(
                         *ctx.module, ctx.config, ctx.threads,
-                        options.pointsPerKind);
+                        options.pointsPerKind, options.maxInstrs);
                     return;
                 }
                 const auto &profile = workloads::appByName(ctx.app);
                 ctx.module = pool.moduleFor(profile, ctx.config.compiler);
-                ctx.goldenResult = interp::runToCompletion(
-                    *ctx.module, ctx.goldenMemory, "main", {});
-                ctx.goldenIo =
-                    core::collectIoStream(*ctx.module, "main", {});
-                // Record the commit stream once, with the cache
-                // outcomes of this context's geometry; every case of
-                // this context then replays its pristine epochs
-                // instead of re-interpreting them. Battery-backed
-                // schemes never replay (they need a live snapshot at
-                // the crash instant), so skip the recording.
-                if (!ctx.config.scheme.batteryBacked) {
-                    ctx.stream = core::recordCommitStream(
-                        *ctx.module, "main", {}, ctx.config.hierarchy,
-                        options.maxInstrs,
-                        workloads::estimatedInstrs(profile));
-                    ctx.hasStream = true;
-                }
-                ctx.points = enumerateCrashPoints(
-                    *ctx.module, ctx.config, {core::ThreadSpec{}},
-                    options.pointsPerKind);
-                if (!cache || ctx.points.points.empty())
+                golden = prepareGoldenRun(
+                    *ctx.module, ctx.config, options.pointsPerKind,
+                    options.maxInstrs,
+                    workloads::estimatedInstrs(profile));
+                if (!cache || golden.points.points.empty())
                     return;
                 // Forked mode: one more pass over the golden schedule
                 // captures a checkpoint at every first crash tick any
@@ -709,7 +718,7 @@ runCampaign(const CampaignOptions &options)
                 // cover them). Cost: one run per context, amortized
                 // over its ~dozen cases.
                 std::vector<Tick> ticks;
-                for (const auto &p : ctx.points.points)
+                for (const auto &p : golden.points.points)
                     ticks.push_back(p.tick);
                 std::sort(ticks.begin(), ticks.end());
                 ticks.erase(std::unique(ticks.begin(), ticks.end()),
@@ -717,19 +726,22 @@ runCampaign(const CampaignOptions &options)
                 core::WholeSystemSim sim(*ctx.module, ctx.config);
                 auto cr = sim.captureCheckpoints(
                     {core::ThreadSpec{}}, ticks, options.maxInstrs,
-                    ctx.hasStream ? &ctx.stream : nullptr);
-                // The capture pass re-runs the golden schedule (from
-                // the stream when there is one): a free check that
-                // replay reproduces the interpreted enumeration run.
-                cwsp_assert(cr.result.cycles == ctx.points.runCycles &&
+                    golden.hasStream ? &golden.stream : nullptr);
+                // The capture pass re-runs the golden schedule, driven
+                // by the same source as the enumeration run: replay
+                // when there is a stream, else the interpreter. It
+                // must land on the enumeration run's counts. (That
+                // replay reproduces interpretation is tier-1's check:
+                // test_fault_campaign, EnumerationRunIsThePlainRun.)
+                cwsp_assert(cr.result.cycles == golden.points.runCycles &&
                                 cr.result.instructions ==
-                                    ctx.points.runInstrs,
+                                    golden.points.runInstrs,
                             ckptKeyBaseOf(ctx), ": capture pass ran ",
                             cr.result.cycles, " cycles / ",
                             cr.result.instructions,
                             " instrs, enumeration ",
-                            ctx.points.runCycles, " / ",
-                            ctx.points.runInstrs);
+                            golden.points.runCycles, " / ",
+                            golden.points.runInstrs);
                 const std::string base = ckptKeyBaseOf(ctx);
                 for (auto &ck : cr.checkpoints)
                     cache->insert(
@@ -747,6 +759,15 @@ runCampaign(const CampaignOptions &options)
     report.interleaveSeed = options.interleaveSeed;
     report.modulesCompiled = pool.stats().modulesCompiled;
     report.contexts = contexts.size();
+    for (const auto &ctx : contexts) {
+        if (ctx.golden.points.source == core::ExecSource::Stream) {
+            ++report.enumerations.stream;
+        } else {
+            ++report.enumerations.interpret;
+            report.enumerations.interpretCauses.note(
+                core::streamRefusal(ctx.config, ctx.threads.size()));
+        }
+    }
     std::vector<const Context *> caseCtx;
     for (const auto &ctx : contexts) {
         auto cs = casesFor(ctx, options);
@@ -832,7 +853,7 @@ runCampaign(const CampaignOptions &options)
                 continue;
             report.recovery[idxOf.at(ctx.scheme)]
                 .goldenCycles.emplace_back(ctx.app,
-                                           ctx.points.runCycles);
+                                           ctx.golden.points.runCycles);
         }
         // Runtime overhead: gmean over apps of this scheme's
         // fault-free cycles vs. the baseline scheme's. Unavailable
@@ -959,6 +980,17 @@ CampaignReport::fillStats(StatsRegistry &reg) const
         .inc(totals.atomicResumes);
     reg.counter("fault_campaign.modules_compiled").inc(modulesCompiled);
     reg.counter("fault_campaign.contexts").inc(contexts);
+    reg.counter("fault_campaign.enumerations.stream")
+        .inc(enumerations.stream);
+    reg.counter("fault_campaign.enumerations.interpret")
+        .inc(enumerations.interpret);
+    enumerations.interpretCauses.forEach(
+        [&](const char *cause, std::uint64_t n) {
+            reg.counter(std::string("fault_campaign.enumerations."
+                                    "interpret_causes.") +
+                        cause)
+                .inc(n);
+        });
     if (ckptCache.enabled) {
         reg.counter("ckpt.captures").inc(ckptCache.captures);
         reg.counter("ckpt.forks").inc(ckptCache.forks);

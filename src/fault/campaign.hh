@@ -240,6 +240,18 @@ struct SchemeRecoveryStats
     std::uint64_t dlVacuous = 0;
 };
 
+/**
+ * Where the campaign's contexts took their crash points from: a
+ * commit-stream replay, or an interpreted run, counted by why no
+ * stream drove it (battery_backed or multicore).
+ */
+struct EnumerationSources
+{
+    std::size_t stream = 0;
+    std::size_t interpret = 0;
+    core::RefusalCounts interpretCauses;
+};
+
 /** Aggregate outcome. */
 struct CampaignReport
 {
@@ -264,6 +276,8 @@ struct CampaignReport
      */
     std::size_t contexts = 0;
     std::size_t modulesCompiled = 0;
+    /** Each context's enumeration source (fillStats(), not JSON). */
+    EnumerationSources enumerations;
     CkptCacheReport ckptCache;  ///< forked-mode cache behaviour
     /** Per-scheme recovery aggregates, campaign scheme order. */
     std::vector<SchemeRecoveryStats> recovery;
@@ -275,7 +289,8 @@ struct CampaignReport
 
     /**
      * Register the campaign outcome in @p reg — counters under
-     * "fault_campaign." (outcomes, contexts, modules_compiled) and
+     * "fault_campaign." (outcomes, contexts, modules_compiled,
+     * enumerations.{stream,interpret} with the interpret causes) and
      * "ckpt.", per-scheme recovery histograms and phase totals
      * under "recovery.<scheme>." — so the
      * cwsp_faultcampaign --stats-json export nests hierarchically
@@ -344,6 +359,38 @@ struct GoldenRef
 
 CaseResult runCase(const CampaignCase &c, const GoldenRef &golden,
                    std::uint64_t max_instrs = 200'000'000);
+
+/** The data a single-core GoldenRef points into, owned. */
+struct GoldenRun
+{
+    Word result = 0;
+    interp::SparseMemory memory;
+    std::vector<arch::IoRecord> io;
+    /** The run's commit stream; recorded only when hasStream. */
+    core::CommitStream stream;
+    bool hasStream = false;
+    /** Crash points, and the golden timed run they came from. */
+    CrashPointSet points;
+};
+
+/**
+ * Prepare the golden reference of @p module's "main" under @p config
+ * with one interpreted pass. Where a stream can drive its runs
+ * (core::streamRefusal), that pass records the commit stream, with
+ * the cache outcomes of config.hierarchy, and ends holding every
+ * golden fact: the return value, the final memory image and the
+ * device output. Replaying the stream then times the golden run and
+ * enumerates its crash points (at most @p max_per_kind per kind).
+ * Battery-backed schemes never replay: one functional run yields
+ * their golden facts, and the enumeration interprets. Every pass
+ * stops at @p max_instrs steps; @p expected_instrs pre-sizes the
+ * recording (workloads::estimatedInstrs).
+ */
+GoldenRun prepareGoldenRun(const ir::Module &module,
+                           const core::SystemConfig &config,
+                           std::size_t max_per_kind,
+                           std::uint64_t max_instrs,
+                           std::uint64_t expected_instrs = 0);
 
 /** The six scheme presets, figure order. */
 const std::vector<std::string> &allSchemeNames();

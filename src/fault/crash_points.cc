@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <set>
 
 #include "ir/ir.hh"
 #include "sim/logging.hh"
@@ -84,59 +83,78 @@ std::vector<CrashPoint>
 CrashPointCollector::points(std::size_t max_per_kind,
                             Tick max_tick) const
 {
-    // Dedup by tick across kinds (earliest-harvested wins: one crash
-    // instant is one state, whatever triggered our interest in it).
-    std::set<Tick> seen;
-    std::array<std::vector<CrashPoint>, kNumCrashPointKinds> byKind;
-    for (const auto &p : raw_) {
-        if (p.tick == 0 || (max_tick != 0 && p.tick >= max_tick))
-            continue;
-        if (!seen.insert(p.tick).second)
-            continue;
-        byKind[static_cast<std::size_t>(p.kind)].push_back(p);
-    }
+    // In-run points in tick order. The sort is stable, so among the
+    // points of one tick the earliest harvested comes first and is
+    // the one unique() keeps: one crash instant is one state,
+    // whatever triggered our interest in it.
+    std::vector<CrashPoint> pts;
+    pts.reserve(raw_.size());
+    for (const auto &p : raw_)
+        if (p.tick != 0 && (max_tick == 0 || p.tick < max_tick))
+            pts.push_back(p);
+    std::stable_sort(pts.begin(), pts.end(),
+                     [](const CrashPoint &a, const CrashPoint &b) {
+                         return a.tick < b.tick;
+                     });
+    pts.erase(std::unique(pts.begin(), pts.end(),
+                          [](const CrashPoint &a, const CrashPoint &b) {
+                              return a.tick == b.tick;
+                          }),
+              pts.end());
 
-    std::vector<CrashPoint> out;
-    for (auto &vec : byKind) {
-        std::sort(vec.begin(), vec.end(),
-                  [](const CrashPoint &a, const CrashPoint &b) {
-                      return a.tick < b.tick;
-                  });
-        if (max_per_kind == 0 || vec.size() <= max_per_kind) {
-            out.insert(out.end(), vec.begin(), vec.end());
-            continue;
-        }
-        // Even subsample keeping the extremes: index i of n picks
-        // floor(i * (size-1) / (n-1)).
-        if (max_per_kind == 1) {
-            out.push_back(vec[vec.size() / 2]);
-            continue;
-        }
-        for (std::size_t i = 0; i < max_per_kind; ++i) {
-            std::size_t j =
-                i * (vec.size() - 1) / (max_per_kind - 1);
-            out.push_back(vec[j]);
-        }
+    // Subsample each kind in place, keeping tick order. A kind of n
+    // points over the cap keeps its middle point (cap 1), else an
+    // even subsample with the extremes: pick i of m is its point of
+    // rank floor(i * (n-1) / (m-1)).
+    if (max_per_kind != 0) {
+        std::array<std::size_t, kNumCrashPointKinds> count{}, rank{},
+            pick{};
+        for (const auto &p : pts)
+            ++count[static_cast<std::size_t>(p.kind)];
+        auto kept = [&](std::size_t k) {
+            const std::size_t n = count[k];
+            const std::size_t r = rank[k]++;
+            if (n <= max_per_kind)
+                return true;
+            if (max_per_kind == 1)
+                return r == n / 2;
+            if (pick[k] < max_per_kind &&
+                r == pick[k] * (n - 1) / (max_per_kind - 1)) {
+                ++pick[k];
+                return true;
+            }
+            return false;
+        };
+        std::size_t w = 0;
+        for (const auto &p : pts)
+            if (kept(static_cast<std::size_t>(p.kind)))
+                pts[w++] = p;
+        pts.resize(w);
     }
-    std::sort(out.begin(), out.end(),
-              [](const CrashPoint &a, const CrashPoint &b) {
-                  return a.tick < b.tick;
-              });
-    return out;
+    // pts was sized for every harvested point, and a campaign keeps
+    // each context's few survivors for the whole sweep.
+    pts.shrink_to_fit();
+    return pts;
 }
 
 CrashPointSet
 enumerateCrashPoints(const ir::Module &module,
                      const core::SystemConfig &config,
                      const std::vector<core::ThreadSpec> &threads,
-                     std::size_t max_per_kind)
+                     std::size_t max_per_kind, std::uint64_t max_instrs,
+                     const core::CommitStream *stream)
 {
+    // A minimal ring of the harvested categories only: the sink sees
+    // every accepted event whatever the capacity, and events of the
+    // other categories stop at the ring's mask check.
     CrashPointCollector collector;
+    sim::TraceBuffer ring(2, CrashPointCollector::kMask);
     core::WholeSystemSim sim(module, config);
+    sim.attachTrace(&ring);
     sim.attachTraceSink(&collector);
-    const core::RunResult run = sim.run(threads);
-    sim.attachTraceSink(nullptr);
     CrashPointSet set;
+    const core::RunResult run =
+        sim.run(threads, max_instrs, stream, &set.source);
     set.runCycles = run.cycles;
     set.runInstrs = run.instructions;
 

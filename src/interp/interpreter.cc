@@ -376,15 +376,16 @@ Interpreter::currentFunction() const
 Word
 runToCompletion(const ir::Module &module, SparseMemory &memory,
                 const std::string &entry, const std::vector<Word> &args,
-                std::uint64_t max_instrs)
+                std::uint64_t max_instrs, CommitSink *sink)
 {
-    NullCommitSink sink;
+    NullCommitSink discard;
+    CommitSink &to = sink ? *sink : discard;
     Interpreter interp(module, memory, 0);
-    interp.start(entry, args, sink);
+    interp.start(entry, args, to);
     while (!interp.finished()) {
         if (interp.committed() >= max_instrs)
             cwsp_fatal("instruction budget exceeded in ", entry);
-        interp.step(sink);
+        interp.step(to);
     }
     return interp.returnValue();
 }

@@ -129,14 +129,16 @@ class Interpreter
 
 /**
  * Convenience: run @p entry to completion functionally (no timing),
- * with an instruction cap to catch runaway programs.
+ * with an instruction cap to catch runaway programs. @p sink, when
+ * given, observes every commit (a NullCommitSink otherwise).
  *
  * @return main's return value.
  */
 Word runToCompletion(const ir::Module &module, SparseMemory &memory,
                      const std::string &entry,
                      const std::vector<Word> &args,
-                     std::uint64_t max_instrs = 100'000'000);
+                     std::uint64_t max_instrs = 100'000'000,
+                     CommitSink *sink = nullptr);
 
 } // namespace cwsp::interp
 

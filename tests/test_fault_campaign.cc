@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <random>
+#include <set>
 #include <sstream>
 
 #include "compiler/compiler.hh"
@@ -21,6 +24,8 @@
 #include "fault/campaign.hh"
 #include "fault/crash_points.hh"
 #include "interp/interpreter.hh"
+#include "ir/builder.hh"
+#include "sim/stats.hh"
 #include "workloads/concurrent.hh"
 #include "workloads/kernels.hh"
 #include "workloads/workload.hh"
@@ -213,6 +218,46 @@ TEST(FaultCampaign, ResumeAfterAtomicRecovers)
     EXPECT_GE(atomic_resumes, 1u);
 }
 
+/**
+ * The collector's dedup and subsample rule, written as a std::set
+ * pass over the harvested points in harvest order: the reference
+ * CrashPointCollector::points() must match exactly.
+ */
+std::vector<fault::CrashPoint>
+referencePoints(const std::vector<fault::CrashPoint> &raw,
+                std::size_t max_per_kind, Tick max_tick)
+{
+    std::set<Tick> seen;
+    std::array<std::vector<fault::CrashPoint>, fault::kNumCrashPointKinds>
+        byKind;
+    for (const auto &p : raw) {
+        if (p.tick == 0 || (max_tick != 0 && p.tick >= max_tick))
+            continue;
+        if (!seen.insert(p.tick).second)
+            continue;
+        byKind[static_cast<std::size_t>(p.kind)].push_back(p);
+    }
+    auto byTick = [](const fault::CrashPoint &a,
+                     const fault::CrashPoint &b) {
+        return a.tick < b.tick;
+    };
+    std::vector<fault::CrashPoint> out;
+    for (auto &vec : byKind) {
+        std::sort(vec.begin(), vec.end(), byTick);
+        if (max_per_kind == 0 || vec.size() <= max_per_kind) {
+            out.insert(out.end(), vec.begin(), vec.end());
+        } else if (max_per_kind == 1) {
+            out.push_back(vec[vec.size() / 2]);
+        } else {
+            for (std::size_t i = 0; i < max_per_kind; ++i)
+                out.push_back(
+                    vec[i * (vec.size() - 1) / (max_per_kind - 1)]);
+        }
+    }
+    std::sort(out.begin(), out.end(), byTick);
+    return out;
+}
+
 TEST(FaultCampaign, CrashPointCollectorDedupsSubsamplesAndBounds)
 {
     fault::CrashPointCollector c;
@@ -254,6 +299,55 @@ TEST(FaultCampaign, CrashPointCollectorDedupsSubsamplesAndBounds)
     ASSERT_EQ(undo.size(), 2u);
     EXPECT_EQ(undo.front(), 21u);
     EXPECT_EQ(undo.back(), 41u);
+
+    // A seeded random feed against the reference: thousands of
+    // events in non-monotone tick order, packed into few enough ticks
+    // that kinds collide, each tagged with its harvest index so the
+    // earliest-harvested rule shows in the surviving args.
+    fault::CrashPointCollector rc;
+    std::vector<fault::CrashPoint> raw;
+    std::mt19937_64 rng(0x5eed);
+    constexpr sim::TraceEventKind kEvents[] = {
+        sim::TraceEventKind::RegionBegin,
+        sim::TraceEventKind::RegionPersist,
+        sim::TraceEventKind::SchemeDrain,
+        sim::TraceEventKind::UndoAppend,
+        sim::TraceEventKind::AtomicCommit,
+    };
+    constexpr fault::CrashPointKind kKinds[] = {
+        fault::CrashPointKind::RegionBegin,
+        fault::CrashPointKind::RegionPersist,
+        fault::CrashPointKind::MidDrain,
+        fault::CrashPointKind::UndoAppend,
+        fault::CrashPointKind::AtomicCommit,
+    };
+    for (std::uint64_t n = 0; n < 6000; ++n) {
+        const std::size_t e = rng() % std::size(kEvents);
+        sim::TraceEvent ev;
+        ev.kind = kEvents[e];
+        ev.tick = rng() % 2500;
+        ev.duration = rng() % 8;
+        ev.arg0 = n;
+        rc.onTraceEvent(ev);
+        if (ev.kind != sim::TraceEventKind::SchemeDrain)
+            raw.push_back({ev.tick + 1, kKinds[e], n});
+        else if (ev.duration > 1)
+            raw.push_back({ev.tick + ev.duration / 2, kKinds[e], n});
+    }
+    ASSERT_EQ(rc.rawCount(), raw.size());
+    for (std::size_t cap : {0u, 1u, 2u, 3u, 8u}) {
+        for (Tick bound : {Tick{0}, Tick{1700}}) {
+            const auto got = rc.points(cap, bound);
+            const auto want = referencePoints(raw, cap, bound);
+            ASSERT_EQ(got.size(), want.size())
+                << "cap " << cap << " bound " << bound;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].tick, want[i].tick) << i;
+                EXPECT_EQ(got[i].kind, want[i].kind) << i;
+                EXPECT_EQ(got[i].arg, want[i].arg) << i;
+            }
+        }
+    }
 }
 
 TEST(FaultCampaign, RunCaseFlagsDivergenceAgainstGolden)
@@ -348,6 +442,19 @@ TEST(FaultCampaign, CampaignSmokeAllPass)
     report.writeJson(os);
     EXPECT_NE(os.str().find("\"cases_run\""), std::string::npos);
     EXPECT_NE(os.str().find("\"totals\""), std::string::npos);
+
+    // cwsp and replaycache enumerate from their streams; battery-backed
+    // capri records none and interprets.
+    StatsRegistry reg;
+    report.fillStats(reg);
+    EXPECT_EQ(reg.counterValue("fault_campaign.enumerations.stream"), 2u);
+    EXPECT_EQ(reg.counterValue("fault_campaign.enumerations.interpret"),
+              1u);
+    EXPECT_EQ(reg.counterValue("fault_campaign.enumerations."
+                               "interpret_causes.battery_backed"),
+              1u);
+    EXPECT_EQ(report.enumerations.interpretCauses.describe(),
+              "1 battery_backed");
 }
 
 // Concurrent campaign: every case of a correct scheme carries a
@@ -384,6 +491,9 @@ TEST(FaultCampaign, ConcurrentCampaignChecksDurableLinearizability)
     EXPECT_EQ(st.dlPass, passes);
     EXPECT_EQ(st.dlViolation, 0u);
     EXPECT_EQ(st.dlChecked, st.dlPass + st.dlVacuous);
+    // Multicore contexts never replay a stream.
+    EXPECT_EQ(report.enumerations.stream, 0u);
+    EXPECT_EQ(report.enumerations.interpretCauses.describe(), "2 multicore");
 
     std::ostringstream os;
     report.writeJson(os);
@@ -505,10 +615,106 @@ TEST(FaultCampaign, SharedModulesMatchPerContextBuilds)
     EXPECT_EQ(contexts.size(), report.contexts);
 }
 
+/**
+ * A program that emits device output (no roster app does): per
+ * iteration some memory work, then a sequence-stamped record to
+ * device 3.
+ */
+std::unique_ptr<ir::Module>
+buildLoggerProgram(std::uint64_t iters)
+{
+    auto mod = std::make_unique<ir::Module>();
+    auto &data = mod->addGlobal("data", 512 * 8);
+    mod->layoutMemory();
+
+    auto &f = mod->addFunction("main", 0);
+    ir::IRBuilder b(f);
+    ir::BlockId entry = b.newBlock();
+    ir::BlockId hdr = b.newBlock();
+    ir::BlockId body = b.newBlock();
+    ir::BlockId exit = b.newBlock();
+
+    const ir::Reg rData = 8, rI = 10, rN = 11, rAcc = 12, rT = 16,
+                  rT2 = 17;
+
+    b.setBlock(entry);
+    b.movImm(rData, static_cast<std::int64_t>(data.base));
+    b.movImm(rI, 0);
+    b.movImm(rN, static_cast<std::int64_t>(iters));
+    b.movImm(rAcc, 0);
+    b.br(hdr);
+
+    b.setBlock(hdr);
+    b.cmpUlt(rT, rI, rN);
+    b.condBr(rT, body, exit);
+
+    b.setBlock(body);
+    b.binOpImm(ir::Opcode::Mul, rT, rI, 0x9e3779b97f4a7c15LL);
+    b.shrImm(rT, rT, 50);
+    b.andImm(rT, rT, 511 * 8 & ~7);
+    b.add(rT2, rData, rT);
+    b.load(rT, rT2);
+    b.addImm(rT, rT, 1);
+    b.store(rT, rT2);
+    b.add(rAcc, rAcc, rT);
+    b.shlImm(rT, rI, 16);
+    b.andImm(rT2, rAcc, 0xffff);
+    b.binOp(ir::Opcode::Or, rT, rT, rT2);
+    b.ioWrite(rT, 3);
+    b.addImm(rI, rI, 1);
+    b.br(hdr);
+
+    b.setBlock(exit);
+    b.ret(rAcc);
+    return mod;
+}
+
+/**
+ * The reference enumeration: an interpreted timed run with a
+ * collector attached through attachTraceSink, which sees every trace
+ * category.
+ */
+fault::CrashPointSet
+interpretedEnumeration(const ir::Module &mod, const core::SystemConfig &cfg,
+                       const std::vector<core::ThreadSpec> &threads,
+                       std::size_t max_per_kind)
+{
+    fault::CrashPointCollector collector;
+    core::WholeSystemSim sim(mod, cfg);
+    sim.attachTraceSink(&collector);
+    const core::RunResult run = sim.run(threads);
+    fault::CrashPointSet set;
+    set.runCycles = run.cycles;
+    set.runInstrs = run.instructions;
+    set.points = collector.points(max_per_kind, run.cycles);
+    return set;
+}
+
+/** @p got equals @p want field for field (source aside). */
+void
+expectSamePoints(const fault::CrashPointSet &got,
+                 const fault::CrashPointSet &want, const std::string &what)
+{
+    EXPECT_EQ(got.runCycles, want.runCycles) << what;
+    EXPECT_EQ(got.runInstrs, want.runInstrs) << what;
+    ASSERT_EQ(got.points.size(), want.points.size()) << what;
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < got.points.size(); ++i) {
+        const fault::CrashPoint &a = got.points[i];
+        const fault::CrashPoint &b = want.points[i];
+        differ += a.tick != b.tick || a.kind != b.kind || a.arg != b.arg;
+    }
+    EXPECT_EQ(differ, 0u) << what << ": points differ";
+}
+
 // The campaign takes each context's golden cycles and instruction
 // count from the crash-point enumeration run instead of timing the
 // program again, so that run must be a plain timed run: attaching
-// the collector may not move a cycle.
+// the collector may not move a cycle. A single-core context is
+// prepared with one interpreted pass (prepareGoldenRun): its golden
+// facts come from the commit-stream recording and its crash points
+// from replaying the stream, so both must equal what the functional
+// golden passes and an interpreted, every-category enumeration give.
 TEST(FaultCampaign, EnumerationRunIsThePlainRun)
 {
     const auto *cqueue = workloads::findConcurrentApp("cqueue");
@@ -522,24 +728,112 @@ TEST(FaultCampaign, EnumerationRunIsThePlainRun)
             core::SystemConfig cfg = base;
             cfg.numCores = cqueue->params.numWorkers;
             cfg.scheme.interleave = core::interleaveSchedule(1, ilv);
+            const std::string what =
+                "cqueue/" + scheme + " ilv" + std::to_string(ilv);
             auto pts = fault::enumerateCrashPoints(*conc, cfg, workers);
+            EXPECT_EQ(pts.source, core::ExecSource::Interpret) << what;
             core::WholeSystemSim sim(*conc, cfg);
             const core::RunResult run = sim.run(workers);
-            EXPECT_EQ(pts.runCycles, run.cycles)
-                << "cqueue/" << scheme << " ilv" << ilv;
-            EXPECT_EQ(pts.runInstrs, run.instructions)
-                << "cqueue/" << scheme << " ilv" << ilv;
+            EXPECT_EQ(pts.runCycles, run.cycles) << what;
+            EXPECT_EQ(pts.runInstrs, run.instructions) << what;
+            expectSamePoints(pts,
+                             interpretedEnumeration(*conc, cfg, workers, 8),
+                             what);
         }
 
-        auto fft = workloads::buildApp(workloads::appByName("fft"),
-                                       base.compiler);
-        auto pts = fault::enumerateCrashPoints(*fft, base,
-                                               {core::ThreadSpec{}});
-        core::WholeSystemSim sim(*fft, base);
-        const core::RunResult run = sim.run("main");
-        EXPECT_GT(run.instructions, 0u);
-        EXPECT_EQ(pts.runCycles, run.cycles) << "fft/" << scheme;
-        EXPECT_EQ(pts.runInstrs, run.instructions) << "fft/" << scheme;
+        for (const char *app :
+             {"fft", "bzip2", "lbm", "tatp", "astar", "logger"}) {
+            const std::string what = std::string(app) + "/" + scheme;
+            std::unique_ptr<ir::Module> mod;
+            if (std::string(app) == "logger") {
+                mod = buildLoggerProgram(96);
+                compiler::compileForWsp(*mod, base.compiler);
+            } else {
+                mod = workloads::buildApp(workloads::appByName(app),
+                                          base.compiler);
+            }
+            interp::SparseMemory memory;
+            const Word result =
+                interp::runToCompletion(*mod, memory, "main", {});
+            const auto io = core::collectIoStream(*mod, "main", {});
+            if (std::string(app) == "logger") {
+                ASSERT_EQ(io.size(), 96u);
+            }
+            // The plain timed run: no sink, no ring.
+            core::WholeSystemSim sim(*mod, base);
+            const core::RunResult run = sim.run("main");
+            EXPECT_GT(run.instructions, 0u) << what;
+
+            const fault::GoldenRun golden =
+                fault::prepareGoldenRun(*mod, base, 0, 200'000'000);
+            EXPECT_EQ(golden.hasStream, !base.scheme.batteryBacked)
+                << what;
+            EXPECT_EQ(golden.points.source,
+                      golden.hasStream ? core::ExecSource::Stream
+                                       : core::ExecSource::Interpret)
+                << what;
+            EXPECT_EQ(golden.result, result) << what;
+            EXPECT_TRUE(golden.memory.equals(memory)) << what;
+            ASSERT_EQ(golden.io.size(), io.size()) << what;
+            for (std::size_t i = 0; i < io.size(); ++i) {
+                EXPECT_EQ(golden.io[i].device, io[i].device) << what;
+                EXPECT_EQ(golden.io[i].payload, io[i].payload) << what;
+                EXPECT_EQ(golden.io[i].region, io[i].region) << what;
+                EXPECT_EQ(golden.io[i].core, io[i].core) << what;
+            }
+            EXPECT_EQ(golden.points.runCycles, run.cycles) << what;
+            EXPECT_EQ(golden.points.runInstrs, run.instructions) << what;
+            const fault::CrashPointSet ref = interpretedEnumeration(
+                *mod, base, {core::ThreadSpec{}}, 0);
+            // baseline and psp form no regions, so they have none.
+            if (scheme != "baseline" && scheme != "psp") {
+                EXPECT_GT(ref.points.size(), 0u) << what;
+            }
+            expectSamePoints(golden.points, ref, what);
+
+            // The four-argument form still interprets.
+            if (std::string(app) == "fft") {
+                auto pts = fault::enumerateCrashPoints(
+                    *mod, base, {core::ThreadSpec{}});
+                EXPECT_EQ(pts.source, core::ExecSource::Interpret);
+                EXPECT_EQ(pts.runCycles, run.cycles) << what;
+                EXPECT_EQ(pts.runInstrs, run.instructions) << what;
+                expectSamePoints(pts,
+                                 interpretedEnumeration(
+                                     *mod, base, {core::ThreadSpec{}}, 8),
+                                 what);
+            }
+        }
+    }
+}
+
+// Every preparation pass of a campaign (record, the battery-backed
+// golden pass, enumeration, capture) honours the campaign's
+// instruction budget: a budget shorter than the program refuses the
+// campaign before any case runs, under every scheme, forked or not.
+TEST(FaultCampaign, PreparationHonoursTheInstructionBudget)
+{
+    for (const std::string &scheme : fault::allSchemeNames()) {
+        for (bool fork : {true, false}) {
+            const std::string what =
+                scheme + (fork ? " forked" : " unforked");
+            fault::CampaignOptions opt;
+            opt.apps = {"fft"};
+            opt.schemes = {scheme};
+            opt.pointsPerKind = 1;
+            opt.forkCheckpoints = fork;
+            opt.maxInstrs = 1000;
+            opt.jobs = 1;
+            try {
+                fault::runCampaign(opt);
+                ADD_FAILURE() << what << ": prepared past the budget";
+            } catch (const std::exception &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "instruction budget exceeded"),
+                          std::string::npos)
+                    << what << ": " << e.what();
+            }
+        }
     }
 }
 

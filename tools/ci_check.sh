@@ -73,6 +73,26 @@ for san in "${SANITIZERS[@]}"; do
     # itself exercised under ASan and UBSan.
     "$dir"/tools/cwsp_faultcampaign --apps fft,bzip2 \
           --points 1 --fork --jobs "$JOBS" --quiet
+    echo "== $san: one-pass campaign preparation smoke =="
+    # A single-core context is prepared with one interpreted pass: the
+    # commit-stream recording yields the golden facts and its replay
+    # the crash points. These cases hold that preparation to the
+    # functional golden passes and an interpreted, every-category
+    # enumeration (roster apps and a device-output program, every
+    # scheme), and the sort-based crash-point dedup to the std::set
+    # rule, so a divergence under the sanitizer fails on its own.
+    "$dir"/tests/test_fault_campaign --gtest_filter=\
+'FaultCampaign.EnumerationRunIsThePlainRun:'\
+'FaultCampaign.CrashPointCollectorDedupsSubsamplesAndBounds'
+    echo "== $san: cwsp_run crash-sweep smoke (cwsp, capri) =="
+    # The CLI sweep prepares the same way: cwsp records, takes the
+    # golden facts from the recording and enumerates from the stream;
+    # battery-backed capri takes one functional golden pass and an
+    # interpreted enumeration. Every point must recover consistently.
+    "$dir"/tools/cwsp_run --app fft --scheme cwsp --crash-sweep 8 \
+          > /dev/null
+    "$dir"/tools/cwsp_run --app fft --scheme capri --crash-sweep 4 \
+          > /dev/null
     echo "== $san: large-image campaign smoke (astar, forked) =="
     # fft and bzip2 images span a few pages; astar's spans thousands.
     # Its golden image grows through many slabs, capri's checkpoints

@@ -214,8 +214,13 @@ runMain(int argc, char **argv)
         (unsigned long long)t.regionRestarts,
         (unsigned long long)t.fullRestarts,
         (unsigned long long)t.atomicResumes);
-    std::fprintf(out, "  programs: %zu compiled for %zu contexts\n",
-                 report.modulesCompiled, report.contexts);
+    std::fprintf(out,
+                 "  programs: %zu compiled for %zu contexts; "
+                 "enumerations: %zu replayed, %zu interpreted (%s)\n",
+                 report.modulesCompiled, report.contexts,
+                 report.enumerations.stream,
+                 report.enumerations.interpret,
+                 report.enumerations.interpretCauses.describe().c_str());
     if (report.ckptCache.enabled) {
         const auto &ck = report.ckptCache;
         std::fprintf(

@@ -435,14 +435,20 @@ runMain(int argc, char **argv)
     }
 
     if (crash_sweep > 0 || !crash_at_event.empty()) {
-        interp::SparseMemory golden_mem;
-        Word golden =
-            interp::runToCompletion(*mod, golden_mem, "main", {});
-        auto golden_io = core::collectIoStream(*mod, "main", {});
-        auto set = fault::enumerateCrashPoints(
-            *mod, cfg, {core::ThreadSpec{}},
-            crash_sweep > 0 ? static_cast<std::size_t>(crash_sweep)
-                            : 0);
+        // One budget for every pass of the sweep: preparation, capture
+        // and each point's crash run.
+        constexpr std::uint64_t kSweepMaxInstrs = 200'000'000;
+        // One interpreted pass prepares the sweep: recording the
+        // commit stream, with this config's cache outcomes, yields the
+        // golden facts; replaying it yields the crash points; and every
+        // sweep point replays its pristine epochs from it instead of
+        // re-interpreting the prefix. Battery-backed schemes never
+        // replay: one functional pass, and an interpreted enumeration.
+        const fault::GoldenRun golden = fault::prepareGoldenRun(
+            *mod, cfg,
+            crash_sweep > 0 ? static_cast<std::size_t>(crash_sweep) : 0,
+            kSweepMaxInstrs);
+        const fault::CrashPointSet &set = golden.points;
 
         std::vector<fault::CrashPoint> chosen;
         if (!crash_at_event.empty()) {
@@ -495,18 +501,10 @@ runMain(int argc, char **argv)
         fault::GoldenRef g;
         g.module = mod.get();
         g.config = &cfg;
-        g.result = golden;
-        g.memory = &golden_mem;
-        g.ioStream = &golden_io;
-        // Record the commit stream once, with this config's cache
-        // outcomes, so every sweep point replays its pristine epochs
-        // instead of re-interpreting the prefix.
-        core::CommitStream stream;
-        if (!cfg.scheme.batteryBacked) {
-            stream = core::recordCommitStream(*mod, "main", {},
-                                              cfg.hierarchy);
-            g.stream = &stream;
-        }
+        g.result = golden.result;
+        g.memory = &golden.memory;
+        g.ioStream = &golden.io;
+        g.stream = golden.hasStream ? &golden.stream : nullptr;
         // Capture a checkpoint at every sweep tick in one pass; each
         // point then forks from its checkpoint and simulates only
         // crash + recovery + tail (identical verdicts either way).
@@ -520,8 +518,7 @@ runMain(int argc, char **argv)
                         ticks.end());
             core::WholeSystemSim capture_sim(*mod, cfg);
             auto cr = capture_sim.captureCheckpoints(
-                {core::ThreadSpec{}}, ticks, 200'000'000,
-                g.stream);
+                {core::ThreadSpec{}}, ticks, kSweepMaxInstrs, g.stream);
             for (auto &ck : cr.checkpoints)
                 ckpts.insert(app.name + "|" + scheme + ":" +
                                  std::to_string(ck->crashTick),
@@ -536,7 +533,7 @@ runMain(int argc, char **argv)
             c.scheme = scheme;
             c.pointKind = p.kind;
             c.schedule = fault::CrashSchedule{p.tick};
-            auto res = fault::runCase(c, g);
+            auto res = fault::runCase(c, g, kSweepMaxInstrs);
             if (!res.pass)
                 ++failures;
             std::printf(
