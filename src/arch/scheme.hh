@@ -270,6 +270,18 @@ class Scheme : public interp::CommitSink
                          std::vector<IoRecord> *io = nullptr,
                          std::uint64_t expected_instrs = 0);
 
+    /**
+     * Leading records of the store log this scheme will not change
+     * again. Every scheme stamps a record as it pushes it, except
+     * ReplayCache, which stamps a region's stores at the region's next
+     * boundary: its settled records end at the oldest one waiting.
+     */
+    virtual std::size_t
+    settledStores() const
+    {
+        return storeLog_ ? storeLog_->size() : 0;
+    }
+
     std::uint64_t pbFullStalls() const;
     std::uint64_t rbtFullStalls() const;
 

@@ -29,13 +29,26 @@ class ReplayCacheScheme final : public Scheme
     {
     }
 
+    std::size_t
+    settledStores() const override
+    {
+        // Each core's pending indices ascend.
+        std::size_t settled = Scheme::settledStores();
+        for (const auto &pending : pendingRecords_) {
+            if (!pending.empty())
+                settled = std::min(settled, pending.front());
+        }
+        return settled;
+    }
+
   protected:
     void
     captureExtraState(sim::StateWriter &w) const override
     {
-        // Indexes into the recording bundle's store vector; the fork
-        // restores them against the checkpoint's bundle copy, whose
-        // prefix they were built over.
+        // Indexes into the recording's store log. A checkpoint holds
+        // the records they name as the capture instant saw them
+        // (SimCheckpoint::storeTail); a fork restores the indices but
+        // records nothing, so they name nothing it reads.
         for (const auto &pending : pendingRecords_) {
             w.pod<std::uint64_t>(pending.size());
             for (std::size_t idx : pending)

@@ -11,12 +11,11 @@
 namespace cwsp::core {
 
 CrashState
-computeCrashState(Tick crash_tick,
-                  const std::vector<arch::StoreRecord> &stores,
-                  const std::vector<arch::RegionEvent> &regions,
+computeCrashState(Tick crash_tick, StoreLogView stores,
+                  std::span<const arch::RegionEvent> regions,
                   std::uint32_t num_cores,
                   const std::vector<Tick> &program_finished_at,
-                  const std::vector<arch::IoRecord> &io,
+                  std::span<const arch::IoRecord> io,
                   sim::TraceBuffer *trace)
 {
     CrashComputeOptions opts;
@@ -26,12 +25,11 @@ computeCrashState(Tick crash_tick,
 }
 
 CrashState
-computeCrashState(Tick crash_tick,
-                  const std::vector<arch::StoreRecord> &stores,
-                  const std::vector<arch::RegionEvent> &regions,
+computeCrashState(Tick crash_tick, StoreLogView stores,
+                  std::span<const arch::RegionEvent> regions,
                   std::uint32_t num_cores,
                   const std::vector<Tick> &program_finished_at,
-                  const std::vector<arch::IoRecord> &io,
+                  std::span<const arch::IoRecord> io,
                   const CrashComputeOptions &opts)
 {
     CrashState state;
@@ -100,10 +98,10 @@ computeCrashState(Tick crash_tick,
     }
     std::vector<arch::StoreRecord> adjustedStorage;
     if (anyAtomic || tornRequested)
-        adjustedStorage = stores;
+        adjustedStorage = stores.copy();
     std::vector<arch::StoreRecord> &adjusted = adjustedStorage;
-    const std::vector<arch::StoreRecord> &stores_adj =
-        adjustedStorage.empty() ? stores : adjustedStorage;
+    const StoreLogView stores_adj =
+        adjustedStorage.empty() ? stores : StoreLogView(adjustedStorage);
     std::vector<std::uint8_t> atomicDone;
     if (anyAtomic) {
         atomicDone.assign(maxCore * nR, 0);

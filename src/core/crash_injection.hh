@@ -27,9 +27,11 @@
 #define CWSP_CORE_CRASH_INJECTION_HH
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "arch/scheme.hh"
+#include "core/recording.hh"
 #include "fault/fault_model.hh"
 #include "interp/machine_state.hh"
 #include "sim/types.hh"
@@ -139,7 +141,9 @@ struct CrashComputeOptions
 };
 
 /**
- * Compute the crash state at @p crash_tick.
+ * Compute the crash state at @p crash_tick from a recording's view
+ * (core/recording.hh): a from-scratch epoch's whole log, or a
+ * checkpoint's prefix of its capture pass's log.
  *
  * @param stores   persist records of the run (commit order).
  * @param regions  region-begin events of the run.
@@ -149,20 +153,20 @@ struct CrashComputeOptions
  * @param trace    optional sink for CrashInject/UndoRollback events.
  */
 CrashState computeCrashState(
-    Tick crash_tick, const std::vector<arch::StoreRecord> &stores,
-    const std::vector<arch::RegionEvent> &regions,
+    Tick crash_tick, StoreLogView stores,
+    std::span<const arch::RegionEvent> regions,
     std::uint32_t num_cores,
     const std::vector<Tick> &program_finished_at,
-    const std::vector<arch::IoRecord> &io = {},
+    std::span<const arch::IoRecord> io = {},
     sim::TraceBuffer *trace = nullptr);
 
 /** Extended form: epoch base image, media faults, hardened scan. */
 CrashState computeCrashState(
-    Tick crash_tick, const std::vector<arch::StoreRecord> &stores,
-    const std::vector<arch::RegionEvent> &regions,
+    Tick crash_tick, StoreLogView stores,
+    std::span<const arch::RegionEvent> regions,
     std::uint32_t num_cores,
     const std::vector<Tick> &program_finished_at,
-    const std::vector<arch::IoRecord> &io,
+    std::span<const arch::IoRecord> io,
     const CrashComputeOptions &opts);
 
 } // namespace cwsp::core

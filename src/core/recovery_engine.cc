@@ -73,7 +73,7 @@ runRecoverySlice(interp::Interpreter &interp,
 
 ResumeStatus
 prepareResume(interp::Interpreter &interp, const ResumePoint &rp,
-              const RecordingBundle &bundle, const ir::Module &module,
+              const RecordingView &recording, const ir::Module &module,
               sim::TraceBuffer *trace, Tick when,
               interp::CommitSink *boundary_sink,
               const std::map<Addr, SlotImageEntry> *slot_image)
@@ -82,8 +82,8 @@ prepareResume(interp::Interpreter &interp, const ResumePoint &rp,
     if (rp.restart)
         return ResumeStatus::NeedRestart;
 
-    auto it = bundle.snapshots.find(rp.region);
-    cwsp_assert(it != bundle.snapshots.end(),
+    auto it = recording.snapshots->find(rp.region);
+    cwsp_assert(it != recording.snapshots->end(),
                 "no control snapshot for resume region ", rp.region,
                 " (snapshot ring too small?)");
     interp.restoreForRecovery(it->second);

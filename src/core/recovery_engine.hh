@@ -42,8 +42,9 @@ bool runRecoverySlice(
 
 /**
  * Prepare @p interp (already bound to the recovered memory) to resume
- * at @p rp using @p bundle's control snapshots, then run the recovery
- * slice. For restart points the caller must call start() instead.
+ * at @p rp using @p recording's control snapshots, then run the
+ * recovery slice. For restart points the caller must call start()
+ * instead.
  *
  * @param trace optional sink for RecoverySlice/RecoveryResume events,
  *        stamped at @p when (the crash instant; recovery itself is
@@ -58,7 +59,7 @@ bool runRecoverySlice(
  */
 ResumeStatus prepareResume(
     interp::Interpreter &interp, const ResumePoint &rp,
-    const RecordingBundle &bundle, const ir::Module &module,
+    const RecordingView &recording, const ir::Module &module,
     sim::TraceBuffer *trace = nullptr, Tick when = 0,
     interp::CommitSink *boundary_sink = nullptr,
     const std::map<Addr, SlotImageEntry> *slot_image = nullptr);

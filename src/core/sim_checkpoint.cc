@@ -29,18 +29,23 @@ SimCheckpoint::bytes() const
     for (const auto &t : threads)
         b += sizeof(t) + t.entry.size() +
              t.args.capacity() * sizeof(Word);
-    if (bundle) {
-        b += bundle->stores.capacity() * sizeof(arch::StoreRecord);
-        b += bundle->regions.capacity() * sizeof(arch::RegionEvent);
-        b += bundle->io.capacity() * sizeof(arch::IoRecord);
-        for (const auto &kv : bundle->snapshots)
-            b += snapshotBytes(kv.second) + 64; // map node overhead
-    }
+    b += storeTail.capacity() * sizeof(arch::StoreRecord);
+    for (const auto &kv : snapshots)
+        b += snapshotBytes(kv.second) + 64; // map node overhead
     for (const auto &snap : position.exactSnaps)
         b += snapshotBytes(snap);
     if (memory)
         b += memory->residentBytes();
     return b;
+}
+
+RecordingView
+SimCheckpoint::recording() const
+{
+    return RecordingView{
+        StoreLogView(std::span(log->stores).first(sharedStores), storeTail),
+        std::span(log->regions).first(regions),
+        std::span(log->io).first(io), &snapshots};
 }
 
 CheckpointCache::CheckpointCache(std::size_t max_bytes)
@@ -66,25 +71,49 @@ CheckpointCache::insert(const std::string &key,
 {
     if (!ckpt)
         return;
-    std::size_t sz = ckpt->bytes();
+    const std::size_t sz = ckpt->bytes();
+    const RecordingLog *log = ckpt->log.get();
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.captures;
     auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        residentBytes_ -= it->second.bytes;
-        lru_.erase(it->second.lruIt);
-        entries_.erase(it);
-    }
-    if (sz > capBytes_) {
+    if (it != entries_.end())
+        eraseLocked(it);
+    // A log no resident entry reads yet is charged with this one.
+    const std::size_t logBytes =
+        log && !logs_.contains(log) ? log->bytes() : 0;
+    const std::size_t added = sz + logBytes;
+    if (added > capBytes_) {
         // Larger than the whole cache: never resident. The sweep
         // falls back to from-scratch for this crash point.
         ++stats_.evictions;
         return;
     }
+    if (log) {
+        LogCharge &charge = logs_[log];
+        if (charge.readers++ == 0)
+            charge.bytes = logBytes;
+        logBytes_ += logBytes;
+    }
     lru_.push_front(key);
     entries_[key] = Entry{std::move(ckpt), sz, lru_.begin()};
-    residentBytes_ += sz;
+    residentBytes_ += added;
     evictToFitLocked();
+}
+
+void
+CheckpointCache::eraseLocked(std::map<std::string, Entry>::iterator it)
+{
+    residentBytes_ -= it->second.bytes;
+    if (const RecordingLog *log = it->second.ckpt->log.get()) {
+        auto charge = logs_.find(log);
+        if (--charge->second.readers == 0) {
+            residentBytes_ -= charge->second.bytes;
+            logBytes_ -= charge->second.bytes;
+            logs_.erase(charge);
+        }
+    }
+    lru_.erase(it->second.lruIt);
+    entries_.erase(it);
 }
 
 std::shared_ptr<const SimCheckpoint>
@@ -105,7 +134,9 @@ CheckpointCache::clear()
     std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
     lru_.clear();
+    logs_.clear();
     residentBytes_ = 0;
+    logBytes_ = 0;
 }
 
 void
@@ -130,11 +161,7 @@ void
 CheckpointCache::evictToFitLocked()
 {
     while (residentBytes_ > capBytes_ && !lru_.empty()) {
-        const std::string &victim = lru_.back();
-        auto it = entries_.find(victim);
-        residentBytes_ -= it->second.bytes;
-        entries_.erase(it);
-        lru_.pop_back();
+        eraseLocked(entries_.find(lru_.back()));
         ++stats_.evictions;
     }
 }
@@ -145,6 +172,7 @@ CheckpointCache::stats() const
     std::lock_guard<std::mutex> lock(mu_);
     Stats s = stats_;
     s.bytesResident = residentBytes_;
+    s.logBytesResident = logBytes_;
     s.entries = entries_.size();
     return s;
 }
@@ -162,6 +190,8 @@ CheckpointCache::fillStats(StatsRegistry &reg,
         reg.counter(prefix + "ckpt.fallback_causes." + cause).inc(n);
     });
     reg.counter(prefix + "ckpt.bytesResident").inc(s.bytesResident);
+    reg.counter(prefix + "ckpt.logBytesResident")
+        .inc(s.logBytesResident);
 }
 
 } // namespace cwsp::core

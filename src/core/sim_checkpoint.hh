@@ -3,7 +3,7 @@
  * Simulator checkpoints for checkpoint-fork crash sweeps. A
  * SimCheckpoint captures the complete hot state of a WholeSystemSim
  * at one crash instant of the golden (uninterrupted) run: machine
- * identity, the recorded persistence bundle prefix, the scheme and
+ * identity, the recording up to that instant, the scheme and
  * hierarchy component state as one flat byte blob, the trace-ring
  * window, and — for battery-backed schemes — the exact memory image
  * and per-core control snapshots. A crash case *forks* from its
@@ -13,11 +13,17 @@
  * whole pre-crash prefix. Results are bit-identical to from-scratch
  * execution (pinned by tests/test_ckpt_equiv.cc).
  *
+ * The checkpoints of one capture pass share that pass's recording
+ * log: each holds the log, the length of the prefix its capture
+ * instant saw, and its own copy of the boundary-snapshot window,
+ * instead of a copy of the prefix.
+ *
  * CheckpointCache is the sharing layer: a thread-safe, byte-capped
  * LRU map from sweep keys to immutable checkpoints, shared read-only
- * across BatchRunner workers. When the CWSP_CKPT_CACHE_MB cap evicts
- * an entry, the affected case falls back to from-scratch execution —
- * slower, never wrong.
+ * across BatchRunner workers. It charges a shared log once, while
+ * any resident checkpoint reads it. When the CWSP_CKPT_CACHE_MB cap
+ * evicts an entry, the affected case falls back to from-scratch
+ * execution — slower, never wrong.
  */
 
 #ifndef CWSP_CORE_SIM_CHECKPOINT_HH
@@ -65,13 +71,30 @@ struct SimCheckpoint
     /** Execution position at the capture instant. */
     ExecPosition position;
 
+    // ---- The recording at the capture instant, read through
+    // recording(). The capture pass's log is shared read-only by all
+    // its checkpoints and their forks; this checkpoint reads the
+    // first sharedStores stores of it, then its own storeTail, and
+    // the first `regions` region events and `io` device ops. Resume
+    // points built by a fork's crash handling index into it.
+    std::shared_ptr<const RecordingLog> log;
+    /** Leading stores the scheme had settled: no later record of the
+     *  pass changes them. */
+    std::size_t sharedStores = 0;
+    std::size_t regions = 0;
+    std::size_t io = 0;
     /**
-     * Copy of the recording bundle prefix (stores, regions, device
-     * ops, boundary-snapshot window) at the capture instant. Shared
-     * read-only by every fork of this checkpoint; resume points built
-     * by the fork's crash handling index into it.
+     * The stores after the settled ones, as the capture instant saw
+     * them. Only ReplayCache leaves any: it stamps a region's stores
+     * when the region's next boundary replays them, after the capture.
      */
-    std::shared_ptr<const RecordingBundle> bundle;
+    std::vector<arch::StoreRecord> storeTail;
+    /** The boundary-snapshot window at the capture instant (the pass
+     *  erases old entries as it goes on, so it is a copy). */
+    SnapshotMap snapshots;
+
+    /** The recording as a view into log, storeTail and snapshots. */
+    RecordingView recording() const;
 
     /**
      * Scheme + hierarchy component state (positional protocol of
@@ -110,10 +133,12 @@ struct SimCheckpoint
     // the live memory image and snapshots the execution context
     // (position.exactSnaps), so both are part of the checkpoint.
     // Null/empty otherwise (the non-battery crash path reconstructs
-    // durable state from the bundle alone).
+    // durable state from the recording alone).
     std::unique_ptr<interp::SparseMemory> memory;
 
-    /** Resident size estimate, for the cache byte cap. */
+    /** Resident size estimate of this checkpoint's own state, for
+     *  the cache byte cap; the shared log is not counted (the cache
+     *  charges it once, log->bytes()). */
     std::size_t bytes() const;
 };
 
@@ -145,7 +170,8 @@ struct FallbackCauses
  * by a caller-composed sweep key (app|scheme|config|tick). Eviction
  * is least-recently-used; a miss after eviction is reported as a
  * fallback by the caller (noteFallback) so sweeps surface when the
- * byte cap degrades them.
+ * byte cap degrades them. The resident bytes are every entry's own
+ * bytes() plus each shared log once, charged while any entry reads it.
  */
 class CheckpointCache
 {
@@ -161,8 +187,8 @@ class CheckpointCache
     /**
      * Insert (or replace) @p ckpt under @p key, then evict LRU
      * entries until the resident bytes fit the cap. A checkpoint
-     * larger than the whole cap is never resident (counts as an
-     * immediate eviction).
+     * larger than the whole cap, its log included unless already
+     * charged, is never resident (counts as an immediate eviction).
      */
     void insert(const std::string &key,
                 std::shared_ptr<const SimCheckpoint> ckpt);
@@ -191,6 +217,8 @@ class CheckpointCache
         std::uint64_t fallbacks = 0; ///< cases run from scratch
         FallbackCauses fallbackCauses; ///< fallbacks, split by cause
         std::size_t bytesResident = 0;
+        /** The shared logs' share of bytesResident. */
+        std::size_t logBytesResident = 0;
         std::size_t entries = 0;
     };
     Stats stats() const;
@@ -199,26 +227,37 @@ class CheckpointCache
      * Report cache behaviour into @p reg as counters under
      * @p prefix (ckpt.captures, ckpt.forks, ckpt.evictions,
      * ckpt.fallbacks, ckpt.fallback_causes.<cause>,
-     * ckpt.bytesResident).
+     * ckpt.bytesResident, ckpt.logBytesResident).
      */
     void fillStats(StatsRegistry &reg,
                    const std::string &prefix = "") const;
 
   private:
-    void evictToFitLocked();
-
-    mutable std::mutex mu_;
-    std::size_t capBytes_;
-    std::size_t residentBytes_ = 0;
-    /** MRU-first recency list; entries point into it. */
-    std::list<std::string> lru_;
     struct Entry
     {
         std::shared_ptr<const SimCheckpoint> ckpt;
-        std::size_t bytes = 0;
+        std::size_t bytes = 0; ///< the checkpoint's own
         std::list<std::string>::iterator lruIt;
     };
+    /** One shared log's charge: the entries reading it, its bytes. */
+    struct LogCharge
+    {
+        std::size_t readers = 0;
+        std::size_t bytes = 0;
+    };
+
+    void evictToFitLocked();
+    /** Drop @p it, and its log's charge with the log's last reader. */
+    void eraseLocked(std::map<std::string, Entry>::iterator it);
+
+    mutable std::mutex mu_;
+    std::size_t capBytes_;
+    std::size_t residentBytes_ = 0; ///< logs included
+    std::size_t logBytes_ = 0;
+    /** MRU-first recency list; entries point into it. */
+    std::list<std::string> lru_;
     std::map<std::string, Entry> entries_;
+    std::map<const RecordingLog *, LogCharge> logs_;
     Stats stats_;
 };
 

@@ -44,19 +44,20 @@ class IoCollectingSink final : public interp::CommitSink
  * min-clock scheduler, or the commit-stream cursor, advanced from stop
  * tick to stop tick. A recording driver (capture passes and crash
  * epochs) is also the cores' commit sink: it forwards every commit to
- * the scheme and keeps the bundle's boundary-snapshot window, the
- * control snapshots of each core's last 4 x RBT-capacity + 16
- * regions, fed from live interpreters and stream frames alike.
+ * the scheme and keeps the boundary-snapshot window, the control
+ * snapshots of each core's last 4 x RBT-capacity + 16 regions, fed
+ * from live interpreters and stream frames alike.
  */
 class Driver final : public interp::CommitSink
 {
   public:
-    /** @param bundle crash-recording target; null for a plain run.
+    /** @param snapshots the recording's snapshot window; null for a
+     *         plain run.
      *  @param max_instrs step budget of the run, all cores together. */
     Driver(arch::Scheme &scheme, interp::SparseMemory &memory,
-           RecordingBundle *bundle, std::size_t n,
+           SnapshotMap *snapshots, std::size_t n,
            std::uint64_t max_instrs)
-        : scheme_(scheme), memory_(memory), bundle_(bundle),
+        : scheme_(scheme), memory_(memory), snapshots_(snapshots),
           keep_(4 * scheme.config().rbtCapacity + 16),
           maxInstrs_(max_instrs), finishedAt_(n, kTickNever)
     {
@@ -73,9 +74,18 @@ class Driver final : public interp::CommitSink
     interp::CommitSink &
     sink()
     {
-        if (bundle_)
+        if (snapshots_)
             return *this;
         return scheme_;
+    }
+
+    /** Record nothing more: the scheme's logs and the snapshot window
+     *  stay as they are now. */
+    void
+    stopRecording()
+    {
+        scheme_.enableRecording(nullptr, nullptr);
+        snapshots_ = nullptr;
     }
 
     /** Start one interpreted core per thread at its entry. */
@@ -146,15 +156,15 @@ class Driver final : public interp::CommitSink
         auto &ring = window_[core];
         ring.push_back(id);
         if (ring.size() > keep_) {
-            bundle_->snapshots.erase(ring.front());
+            snapshots_->erase(ring.front());
             ring.erase(ring.begin());
         }
-        return bundle_->snapshots[id];
+        return (*snapshots_)[id];
     }
 
     arch::Scheme &scheme_;
     interp::SparseMemory &memory_;
-    RecordingBundle *bundle_;
+    SnapshotMap *snapshots_;
     std::size_t keep_;
     std::uint64_t maxInstrs_;
     std::vector<std::vector<RegionId>> window_; ///< per core, FIFO
@@ -223,7 +233,7 @@ Driver::runCores(Tick stop)
  * the stream on core 0, resuming where the last stop left off, and
  * record core 0's finish once the stream is exhausted. It writes no
  * memory image: after a replayed run or epoch nothing reads one (crash
- * handling rebuilds durable state from the bundle, and only battery-
+ * handling rebuilds durable state from the recording, and only battery-
  * backed schemes, which never replay, checkpoint memory). It cuts like
  * the scheduler: a step runs iff its start cycle is at or before
  * @p stop. Every batched step costs `per` cycles, so a batch splits
@@ -283,7 +293,7 @@ Driver::runStream(Tick stop)
             info.staticRegion = op->aux;
         scheme_.onCommit(info);
         if (info.kind == interp::CommitKind::Boundary) {
-            if (bundle_) {
+            if (snapshots_) {
                 // The stream's flattened frames stand in for the
                 // interpreter's snapshot.
                 const CommitStream::SnapRef &ref =
@@ -752,7 +762,7 @@ WholeSystemSim::chooseSource(const std::vector<ThreadSpec> &threads,
 }
 
 void
-WholeSystemSim::startRecording(RecordingBundle &bundle,
+WholeSystemSim::startRecording(RecordingLog &log,
                                std::uint64_t max_instrs,
                                const CommitStream *stream)
 {
@@ -760,15 +770,16 @@ WholeSystemSim::startRecording(RecordingBundle &bundle,
     if (expected == 0 && stream)
         expected = stream->steps;
     scheme_->enableRecording(
-        &bundle.stores, &bundle.regions, &bundle.io,
+        &log.stores, &log.regions, &log.io,
         expected != 0 ? std::min(max_instrs, 2 * expected)
                       : max_instrs);
 }
 
-std::shared_ptr<const SimCheckpoint>
+std::shared_ptr<SimCheckpoint>
 WholeSystemSim::checkpointAt(Tick tick,
                              const std::vector<ThreadSpec> &threads,
-                             const RecordingBundle &bundle,
+                             const std::shared_ptr<const RecordingLog> &log,
+                             const SnapshotMap &snapshots,
                              ExecPosition position)
 {
     auto ck = std::make_shared<SimCheckpoint>();
@@ -777,7 +788,16 @@ WholeSystemSim::checkpointAt(Tick tick,
     ck->threads = threads;
     ck->crashTick = tick;
     ck->position = std::move(position);
-    ck->bundle = std::make_shared<RecordingBundle>(bundle);
+    // The log keeps growing, and records the scheme may still change
+    // (ReplayCache's unstamped stores) must read as they are now: the
+    // checkpoint shares the settled prefix and copies the rest.
+    ck->log = log;
+    ck->sharedStores = scheme_->settledStores();
+    ck->storeTail.assign(log->stores.begin() + ck->sharedStores,
+                         log->stores.end());
+    ck->regions = log->regions.size();
+    ck->io = log->io.size();
+    ck->snapshots = snapshots;
     sim::StateWriter w(ck->componentBytes);
     scheme_->captureState(w);
     hierarchy_->captureState(w);
@@ -806,7 +826,7 @@ WholeSystemSim::restoreCheckpoint(const SimCheckpoint &ckpt)
 {
     // Battery-backed schemes also need the exact capture-instant
     // memory image (the non-battery crash path reconstructs durable
-    // state from the bundle alone).
+    // state from the recording alone).
     if (ckpt.memory)
         memory_ = std::make_unique<interp::SparseMemory>(*ckpt.memory);
     // reset() rebuilt the component tree with identical
@@ -939,9 +959,12 @@ struct EpochEntry
     enum class Kind { Fresh, Resume, Continue, Done } kind =
         Kind::Fresh;
     ResumePoint rp{};
-    /** Bundle owning rp's control snapshot (Resume only). It may be
-     *  a checkpoint's immutable prefix copy, hence const. */
-    std::shared_ptr<const RecordingBundle> bundle;
+    /** The recording rp was found in (Resume only): its control
+     *  snapshot and region begin are read through this view. */
+    RecordingView recording;
+    /** The epoch's own bundle the view reads, kept alive; null when
+     *  it reads the forked checkpoint, which outlives the run. */
+    std::shared_ptr<const RecordingBundle> owner;
     /** Exact crash-instant control state (Continue only): battery-
      *  backed schemes persist the execution context on failure. */
     interp::ControlSnapshot exact;
@@ -978,9 +1001,9 @@ struct Recovered
 
 /** Committed instructions when @p region began (0: not recorded). */
 std::uint64_t
-instrsAtBegin(const RecordingBundle &bundle, RegionId region)
+instrsAtBegin(const RecordingView &recording, RegionId region)
 {
-    for (const auto &ev : bundle.regions) {
+    for (const auto &ev : recording.regions) {
         if (ev.region == region)
             return ev.instrsAtBegin;
     }
@@ -1033,7 +1056,8 @@ startCores(Cores &cores, const std::vector<ThreadSpec> &threads,
             traceResume(trace, cid, when, false);
         } else {
             ResumeStatus st = prepareResume(
-                core, e.rp, *e.bundle, module, trace, when, boundary_sink,
+                core, e.rp, e.recording, module, trace, when,
+                boundary_sink,
                 rec.slotImage.empty() ? nullptr : &rec.slotImage);
             if (st == ResumeStatus::SlotFault) {
                 ++faults.staleSlotsDetected;
@@ -1091,20 +1115,24 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
         // durable image.
         reset();
         ExecPosition pos;
-        std::shared_ptr<const RecordingBundle> bundle;
+        // What this epoch recorded up to the failure, and the epoch's
+        // own bundle it reads (null when forked).
+        RecordingView recorded;
+        std::shared_ptr<const RecordingBundle> owner;
         if (firstEpoch && out.source == ExecSource::Fork) {
             // The first epoch of a forked sweep restores the checkpoint
-            // instead of executing the pre-crash prefix; its bundle
-            // copy stands in for this epoch's recording. Later epochs
-            // (nested crashes) always execute.
+            // instead of executing the pre-crash prefix; the
+            // checkpoint's prefix of its capture pass's log stands in
+            // for this epoch's recording. Later epochs (nested
+            // crashes) always execute.
             restoreCheckpoint(*fork);
-            bundle = fork->bundle;
+            recorded = fork->recording();
             pos = fork->position;
         } else {
             memory_ = std::make_unique<interp::SparseMemory>(rec.durable);
             auto recording = std::make_shared<RecordingBundle>();
             startRecording(*recording, max_instrs, replay);
-            Driver driver(*scheme_, *memory_, recording.get(), n,
+            Driver driver(*scheme_, *memory_, &recording->snapshots, n,
                           max_instrs);
             sim::TraceBuffer *resumeTrace = firstEpoch ? nullptr : trace_;
             if (streamOk && rec.pristine) {
@@ -1127,7 +1155,8 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
             pos = driver.position(config_.scheme.batteryBacked);
             if (!firstEpoch)
                 out.reexecutedInstrs += pos.steps;
-            bundle = std::move(recording);
+            recorded = RecordingView::of(*recording);
+            owner = std::move(recording);
         }
 
         // The durable state at this failure. A battery flush (Section
@@ -1152,8 +1181,8 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                 cs.resume[c].region =
                     scheme_->currentRegion(static_cast<CoreId>(c));
             }
-            cs.persistedStores = bundle->stores.size();
-            cs.releasedIo = bundle->io;
+            cs.persistedStores = recorded.stores.size();
+            cs.releasedIo.assign(recorded.io.begin(), recorded.io.end());
         } else {
             CrashComputeOptions copts;
             copts.baseNvm = &rec.durable;
@@ -1169,10 +1198,10 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                     rec.entries[c].kind == EpochEntry::Kind::Resume;
             }
             copts.trace = trace_;
-            cs = computeCrashState(pendingDt, bundle->stores,
-                                   bundle->regions,
+            cs = computeCrashState(pendingDt, recorded.stores,
+                                   recorded.regions,
                                    static_cast<std::uint32_t>(n),
-                                   pos.finishedAt, bundle->io, copts);
+                                   pos.finishedAt, recorded.io, copts);
         }
         ++out.faults.crashesInjected;
         if (!firstEpoch)
@@ -1189,7 +1218,8 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                 if (rp.hasWork && !battery) {
                     out.lostWork +=
                         scheme_->instrs(static_cast<CoreId>(c)) -
-                        (resumes ? instrsAtBegin(*bundle, rp.region) : 0);
+                        (resumes ? instrsAtBegin(recorded, rp.region)
+                                 : 0);
                 }
             }
             // pos mirrors each core at the crash instant (restored
@@ -1204,7 +1234,7 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                 out.firstFullRestart = cs.fullRestart;
                 if (!cs.fullRestart)
                     out.firstDurableImage = cs.nvm;
-                out.firstStores = bundle->stores;
+                out.firstStores = recorded.stores.copy();
             }
         }
 
@@ -1227,8 +1257,8 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                     const ResumePoint &rp = cs.resume[c];
                     if (!rp.hasWork || rp.restart)
                         continue;
-                    auto snap = bundle->snapshots.find(rp.region);
-                    if (snap == bundle->snapshots.end())
+                    auto snap = recorded.snapshots->find(rp.region);
+                    if (snap == recorded.snapshots->end())
                         continue;
                     std::size_t depth =
                         snap->second.frames.size() - 1;
@@ -1284,14 +1314,16 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                            rec.entries[c].kind ==
                                EpochEntry::Kind::Resume) {
                     // No boundary committed in this epoch: re-resume
-                    // at the previous epoch's point, with its bundle.
+                    // at the previous epoch's point, with its
+                    // recording.
                     e = rec.entries[c];
                 } else if (rp.restart) {
                     e.kind = EpochEntry::Kind::Fresh;
                 } else {
                     e.kind = EpochEntry::Kind::Resume;
                     e.rp = rp;
-                    e.bundle = bundle;
+                    e.recording = recorded;
+                    e.owner = owner;
                 }
             }
             rec.entries = std::move(nextEntries);
@@ -1417,7 +1449,7 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
         // therefore re-executes as the first resumed step: the replay
         // cut starts one commit earlier.
         const std::uint64_t at_resume =
-            instrsAtBegin(*resumed.bundle, resumed.rp.region);
+            instrsAtBegin(resumed.recording, resumed.rp.region);
         cwsp_assert(at_resume > 0,
                     "resume region has no recorded begin");
         const std::uint64_t cut = at_resume - 1;
@@ -1500,10 +1532,12 @@ WholeSystemSim::captureCheckpoints(
                 "crash ticks must be sorted ascending");
     reset();
     // Recorded like a crash epoch, so each captured prefix is
-    // byte-for-byte what the first epoch would have recorded.
-    RecordingBundle bundle;
-    startRecording(bundle, max_instrs, replay);
-    Driver driver(*scheme_, *memory_, &bundle, threads.size(),
+    // byte-for-byte what the first epoch would have recorded. The
+    // pass records one log, which its checkpoints share.
+    auto log = std::make_shared<RecordingLog>();
+    SnapshotMap window;
+    startRecording(*log, max_instrs, replay);
+    Driver driver(*scheme_, *memory_, &window, threads.size(),
                   max_instrs);
     if (chooseSource(threads, replay, nullptr, 0) == ExecSource::Stream)
         driver.replay(*replay);
@@ -1519,9 +1553,18 @@ WholeSystemSim::captureCheckpoints(
     for (Tick tick : ticks) {
         driver.advance(tick);
         out.checkpoints.push_back(checkpointAt(
-            tick, threads, bundle,
+            tick, threads, log, window,
             driver.position(config_.scheme.batteryBacked)));
     }
+    // No checkpoint reads past the last capture, so record nothing
+    // more. Shared prefixes only grow, and the last checkpoint holds
+    // its tail itself: trim the log to its prefix, and shrink it.
+    driver.stopRecording();
+    if (!out.checkpoints.empty())
+        log->stores.resize(out.checkpoints.back()->sharedStores);
+    log->stores.shrink_to_fit();
+    log->regions.shrink_to_fit();
+    log->io.shrink_to_fit();
     driver.advance(kTickNever);
     out.result = collectStats(driver.position(false).coreReturns);
     return out;

@@ -21,6 +21,7 @@
 #include "arch/scheme.hh"
 #include "core/commit_stream.hh"
 #include "core/config.hh"
+#include "core/recording.hh"
 #include "fault/fault_model.hh"
 #include "interp/interpreter.hh"
 #include "ir/ir.hh"
@@ -112,16 +113,6 @@ struct RunResult
                    : 1e6 * static_cast<double>(wpqHits) /
                          static_cast<double>(instructions);
     }
-};
-
-/** Everything recorded for crash analysis. */
-struct RecordingBundle
-{
-    std::vector<arch::StoreRecord> stores;
-    std::vector<arch::RegionEvent> regions;
-    std::vector<arch::IoRecord> io;
-    /** Control snapshots per dynamic region id. */
-    std::map<RegionId, interp::ControlSnapshot> snapshots;
 };
 
 /** What drives a run segment to its stop tick. */
@@ -418,6 +409,10 @@ class WholeSystemSim
      * identical to run()'s, so the capture pass doubles as the golden
      * run of a crash sweep.
      *
+     * The pass records one log, and every checkpoint it returns
+     * shares it, each reading the prefix its capture instant saw.
+     * Recording stops at the last tick.
+     *
      * @param replay optional commit stream of (threads[0].entry,
      * args): single-core, non-battery capture runs are then driven
      * from the stream (same rules as runWithCrashes' replay).
@@ -545,15 +540,20 @@ class WholeSystemSim
                             const SimCheckpoint *fork, Tick tick,
                             SourceRefusal *refusal = nullptr) const;
 
-    /** Enable crash recording into @p bundle, its logs reserved for
-     *  the hint, else @p stream's exact count, else @p max_instrs. */
-    void startRecording(RecordingBundle &bundle, std::uint64_t max_instrs,
+    /** Enable crash recording into @p log, reserved for the hint,
+     *  else @p stream's exact count, else @p max_instrs. */
+    void startRecording(RecordingLog &log, std::uint64_t max_instrs,
                         const CommitStream *stream);
 
-    /** The current state as a checkpoint for a failure at @p tick. */
-    std::shared_ptr<const SimCheckpoint>
+    /**
+     * The current state as a checkpoint for a failure at @p tick: the
+     * prefix of @p log recorded so far, which it shares, and its own
+     * copy of the snapshot window @p snapshots.
+     */
+    std::shared_ptr<SimCheckpoint>
     checkpointAt(Tick tick, const std::vector<ThreadSpec> &threads,
-                 const RecordingBundle &bundle, ExecPosition position);
+                 const std::shared_ptr<const RecordingLog> &log,
+                 const SnapshotMap &snapshots, ExecPosition position);
 
     /** Restore @p ckpt's state onto the freshly reset components. */
     void restoreCheckpoint(const SimCheckpoint &ckpt);

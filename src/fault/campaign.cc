@@ -894,6 +894,7 @@ runCampaign(const CampaignOptions &options)
         report.ckptCache.fallbacks = cs.fallbacks;
         report.ckptCache.fallbackCauses = cs.fallbackCauses;
         report.ckptCache.bytesResident = cs.bytesResident;
+        report.ckptCache.logBytesResident = cs.logBytesResident;
         report.ckptCache.entries = cs.entries;
     }
     return report;
@@ -923,6 +924,7 @@ CampaignReport::writeJson(std::ostream &os) const
             sep = ", ";
         });
     os << "}, \"bytes_resident\": " << ckptCache.bytesResident
+       << ", \"log_bytes_resident\": " << ckptCache.logBytesResident
        << ", \"entries\": " << ckptCache.entries << "}";
     os << ",\n  \"recovery\": [";
     for (std::size_t i = 0; i < recovery.size(); ++i) {
@@ -1003,6 +1005,8 @@ CampaignReport::fillStats(StatsRegistry &reg) const
             });
         reg.counter("ckpt.bytes_resident")
             .inc(ckptCache.bytesResident);
+        reg.counter("ckpt.log_bytes_resident")
+            .inc(ckptCache.logBytesResident);
         reg.counter("ckpt.entries").inc(ckptCache.entries);
     }
     for (const SchemeRecoveryStats &st : recovery) {

@@ -177,6 +177,7 @@ struct CkptCacheReport
     std::uint64_t fallbacks = 0;
     core::FallbackCauses fallbackCauses;
     std::uint64_t bytesResident = 0;
+    std::uint64_t logBytesResident = 0; ///< shared logs' share
     std::uint64_t entries = 0;
 };
 

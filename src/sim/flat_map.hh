@@ -6,6 +6,12 @@
  * tracking and the memory controller's in-flight table: probe
  * sequences stay within one or two cache lines and the table's
  * storage comes from the simulation arena.
+ *
+ * A rebuild (growth, eraseIf) fills a new table and retires the old
+ * one. An arena cannot free it, so the map keeps the last retired
+ * table and rebuilds into it when the capacities match: periodic
+ * cleanups then cycle between two tables instead of growing the
+ * arena with every rebuild.
  */
 
 #ifndef CWSP_SIM_FLAT_MAP_HH
@@ -46,7 +52,7 @@ class FlatMap64
     operator=(FlatMap64 &&other) noexcept
     {
         if (this != &other) {
-            freeTable(keys_, vals_);
+            freeTables();
             moveFrom(other);
         }
         return *this;
@@ -112,15 +118,7 @@ class FlatMap64
     void
     eraseIf(Pred pred)
     {
-        std::uint64_t *old_keys = keys_;
-        std::uint64_t *old_vals = vals_;
-        std::size_t old_cap = cap_;
-        allocate(cap_);
-        size_ = 0;
-        for (std::size_t i = 0; i < old_cap; ++i)
-            if (old_keys[i] != kEmpty && !pred(old_vals[i]))
-                refInsert(old_keys[i]) = old_vals[i];
-        freeTable(old_keys, old_vals);
+        rebuild(cap_, pred);
     }
 
     /**
@@ -146,8 +144,11 @@ class FlatMap64
         auto cap = static_cast<std::size_t>(r.pod<std::uint64_t>());
         auto n = static_cast<std::size_t>(r.pod<std::uint64_t>());
         if (cap_ != cap) {
-            freeTable(keys_, vals_);
+            std::uint64_t *old_keys = keys_;
+            std::uint64_t *old_vals = vals_;
+            const std::size_t old_cap = cap_;
             allocate(cap);
+            retire(old_keys, old_vals, old_cap);
         } else {
             clear();
         }
@@ -174,12 +175,19 @@ class FlatMap64
         return i;
     }
 
+    /** An empty table of @p cap slots: the retired one when its
+     *  capacity matches, else a fresh one. */
     void
     allocate(std::size_t cap)
     {
         cap_ = cap;
         mask_ = cap - 1;
-        if (arena_) {
+        if (spareKeys_ && spareCap_ == cap) {
+            keys_ = spareKeys_;
+            vals_ = spareVals_;
+            spareKeys_ = spareVals_ = nullptr;
+            spareCap_ = 0;
+        } else if (arena_) {
             keys_ = arena_->allocArray<std::uint64_t>(cap);
             vals_ = arena_->allocArray<std::uint64_t>(cap);
         } else {
@@ -190,18 +198,38 @@ class FlatMap64
             keys_[i] = kEmpty;
     }
 
+    /** Keep a table no longer in use as the spare, dropping the
+     *  spare allocate() did not take. */
     void
-    grow()
+    retire(std::uint64_t *keys, std::uint64_t *vals, std::size_t cap)
+    {
+        freeTable(spareKeys_, spareVals_);
+        spareKeys_ = keys;
+        spareVals_ = vals;
+        spareCap_ = cap;
+    }
+
+    /** Reinsert, in slot order, every entry not matching @p drop
+     *  into an empty table of @p cap slots. */
+    template <typename Pred>
+    void
+    rebuild(std::size_t cap, Pred drop)
     {
         std::uint64_t *old_keys = keys_;
         std::uint64_t *old_vals = vals_;
-        std::size_t old_cap = cap_;
-        allocate(cap_ * 2);
+        const std::size_t old_cap = cap_;
+        allocate(cap);
         size_ = 0;
         for (std::size_t i = 0; i < old_cap; ++i)
-            if (old_keys[i] != kEmpty)
+            if (old_keys[i] != kEmpty && !drop(old_vals[i]))
                 refInsert(old_keys[i]) = old_vals[i];
-        freeTable(old_keys, old_vals);
+        retire(old_keys, old_vals, old_cap);
+    }
+
+    void
+    grow()
+    {
+        rebuild(cap_ * 2, [](std::uint64_t) { return false; });
     }
 
     void
@@ -214,6 +242,13 @@ class FlatMap64
     }
 
     void
+    freeTables()
+    {
+        freeTable(keys_, vals_);
+        freeTable(spareKeys_, spareVals_);
+    }
+
+    void
     moveFrom(FlatMap64 &other)
     {
         arena_ = other.arena_;
@@ -222,15 +257,19 @@ class FlatMap64
         cap_ = other.cap_;
         mask_ = other.mask_;
         size_ = other.size_;
+        spareKeys_ = other.spareKeys_;
+        spareVals_ = other.spareVals_;
+        spareCap_ = other.spareCap_;
         other.keys_ = other.vals_ = nullptr;
-        other.cap_ = other.mask_ = other.size_ = 0;
+        other.spareKeys_ = other.spareVals_ = nullptr;
+        other.cap_ = other.mask_ = other.size_ = other.spareCap_ = 0;
     }
 
   public:
     ~FlatMap64()
     {
-        freeTable(keys_, vals_);
-        keys_ = vals_ = nullptr;
+        freeTables();
+        keys_ = vals_ = spareKeys_ = spareVals_ = nullptr;
     }
 
   private:
@@ -240,6 +279,10 @@ class FlatMap64
     std::size_t cap_ = 0;
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
+    /** The last retired table, rebuilt into when capacities match. */
+    std::uint64_t *spareKeys_ = nullptr;
+    std::uint64_t *spareVals_ = nullptr;
+    std::size_t spareCap_ = 0;
 };
 
 } // namespace cwsp::sim

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/commit_stream.hh"
@@ -110,6 +111,28 @@ expectSameCrashResult(const core::CrashRunResult &a,
     }
     expectSameFaultStats(a.faults, b.faults);
     EXPECT_EQ(a.recoveryWindows, b.recoveryWindows);
+}
+
+/** Every field of every store record, in order. */
+void
+expectSameStores(const std::vector<arch::StoreRecord> &a,
+                 const std::vector<arch::StoreRecord> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    auto fields = [](const arch::StoreRecord &s) {
+        return std::tie(s.addr, s.value, s.persistTime, s.ackTime,
+                        s.region, s.core, s.mc, s.logged, s.isCkpt,
+                        s.isAtomic);
+    };
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (fields(a[i]) != fields(b[i])) {
+            ADD_FAILURE() << "store record " << i << " differs: persist "
+                          << a[i].persistTime << " vs "
+                          << b[i].persistTime << ", ack " << a[i].ackTime
+                          << " vs " << b[i].ackTime;
+            return;
+        }
+    }
 }
 
 std::string
@@ -213,6 +236,112 @@ TEST(CkptEquiv, ReplayCapturedCheckpointsHoldNoTags)
             EXPECT_EQ(got.source, core::ExecSource::Fork);
             expectSameCrashResult(ref, got);
             EXPECT_EQ(refJson, statsJson(forked));
+        }
+    }
+}
+
+/**
+ * One capture pass, several checkpoints: early, mid and late in the
+ * run, one past its end, and (ReplayCache) two while a region's
+ * stores wait for their stamp. They all read the pass's one log, and a
+ * fork from each equals the from-scratch run field for field, the
+ * first crash's store log and durable image and the stats JSON
+ * included. ReplayCache stamps a region's stores at the region's next
+ * boundary, after the capture, inside the shared log: a checkpoint
+ * captured while stores still wait must read them unstamped, as its
+ * capture instant saw them (SimCheckpoint::storeTail).
+ */
+TEST(CkptEquiv, SharedLogForksMatchScratch)
+{
+    std::vector<core::ThreadSpec> threads(1);
+    for (const std::string app : {"bzip2", "astar", "tatp"}) {
+        for (const auto &scheme : kSchemes) {
+            SCOPED_TRACE(app + "/" + scheme);
+            auto cfg = core::makeSystemConfig(scheme);
+            auto mod = workloads::buildApp(workloads::appByName(app),
+                                           cfg.compiler);
+            auto stream = core::recordCommitStream(*mod, "main", {});
+
+            core::WholeSystemSim probe(*mod, cfg);
+            const Tick cycles = probe.runReplay(stream).cycles;
+            std::vector<Tick> ticks = {cycles / 10, cycles / 2,
+                                       (cycles * 9) / 10, cycles + 1};
+            if (scheme == "replaycache") {
+                // ReplayCache spends most of its time stalled at
+                // boundaries, just after stamping, so few instants
+                // find stores waiting. Add the first two after a
+                // mid-run region begins.
+                auto whole = probe.captureCheckpoints(
+                    threads, {cycles + 1}, 200'000'000, &stream);
+                const auto &regions =
+                    whole.checkpoints[0]->log->regions;
+                const Tick begin = regions[regions.size() / 2].begin;
+                std::vector<Tick> near;
+                for (Tick d = 0; d < 256; ++d)
+                    near.push_back(begin + d);
+                auto found = probe.captureCheckpoints(
+                    threads, near, 200'000'000, &stream);
+                std::size_t added = 0;
+                for (const auto &ck : found.checkpoints) {
+                    if (!ck->storeTail.empty() && added++ < 2)
+                        ticks.push_back(ck->crashTick);
+                }
+                ASSERT_GT(added, 0u);
+                std::sort(ticks.begin(), ticks.end());
+            }
+
+            core::WholeSystemSim capture(*mod, cfg);
+            auto cr = capture.captureCheckpoints(threads, ticks,
+                                                 200'000'000, &stream);
+            ASSERT_EQ(cr.checkpoints.size(), ticks.size());
+            const core::RecordingLog *log = cr.checkpoints[0]->log.get();
+            ASSERT_NE(log, nullptr);
+
+            std::size_t stampedAfterCapture = 0;
+            for (std::size_t i = 0; i < ticks.size(); ++i) {
+                SCOPED_TRACE("crash@" + std::to_string(ticks[i]));
+                const core::SimCheckpoint &ck = *cr.checkpoints[i];
+                EXPECT_EQ(ck.log.get(), log);
+                ASSERT_LE(ck.sharedStores, log->stores.size());
+                if (scheme != "replaycache") {
+                    EXPECT_TRUE(ck.storeTail.empty());
+                } else if (!ck.storeTail.empty()) {
+                    // The tail starts at a store waiting for its
+                    // region's boundary. Past the last capture the
+                    // log is trimmed; before it, the pass stamped
+                    // that store in the shared log.
+                    EXPECT_EQ(ck.storeTail.front().ackTime, kTickNever);
+                    if (ck.sharedStores < log->stores.size() &&
+                        log->stores[ck.sharedStores].ackTime !=
+                            kTickNever) {
+                        ++stampedAfterCapture;
+                    }
+                }
+
+                fault::CrashSchedule schedule{ticks[i]};
+                core::WholeSystemSim scratch(*mod, cfg);
+                scratch.setCaptureFirstCrash(true);
+                auto ref = scratch.runWithCrashes(
+                    threads, schedule, {}, 200'000'000, &stream);
+
+                core::WholeSystemSim forked(*mod, cfg);
+                forked.setCaptureFirstCrash(true);
+                auto got = forked.runWithCrashes(
+                    threads, schedule, {}, 200'000'000, &stream, &ck);
+                EXPECT_EQ(got.source, core::ExecSource::Fork);
+                expectSameCrashResult(ref, got);
+                EXPECT_EQ(ref.hasFirstCrash, got.hasFirstCrash);
+                EXPECT_EQ(ref.firstFullRestart, got.firstFullRestart);
+                EXPECT_TRUE(
+                    ref.firstDurableImage.equals(got.firstDurableImage));
+                expectSameStores(ref.firstStores, got.firstStores);
+                EXPECT_EQ(statsJson(scratch), statsJson(forked));
+            }
+            if (scheme == "replaycache") {
+                EXPECT_GT(stampedAfterCapture, 0u)
+                    << "no capture landed in a region whose stores "
+                       "still waited for their stamp";
+            }
         }
     }
 }
@@ -359,7 +488,7 @@ TEST(CkptEquiv, NestedCrashInForkedEpoch)
 /**
  * Media faults seeded after the fork: the fault injector decorates
  * the undo logs the forked epoch reconstructed from the checkpoint's
- * bundle, so detection, degradation, and the hardened recovery must
+ * recording, so detection, degradation, and the hardened recovery must
  * match a from-scratch faulted run bit-for-bit.
  */
 TEST(CkptEquiv, MediaFaultAfterFork)
@@ -596,6 +725,7 @@ TEST(CkptEquiv, MulticoreForkIdentical)
                         got.firstDurableImage));
                     EXPECT_EQ(ref.firstStores.size(),
                               got.firstStores.size());
+                    expectSameStores(ref.firstStores, got.firstStores);
                     EXPECT_EQ(statsJson(scratch), statsJson(forked));
                     ++cases;
                 }
@@ -661,14 +791,17 @@ TEST(CkptEquiv, EventQueueHeapLaneCaptureRestore)
 }
 
 std::shared_ptr<const core::SimCheckpoint>
-dummyCheckpoint(std::size_t blob_bytes)
+dummyCheckpoint(std::size_t blob_bytes,
+                std::shared_ptr<const core::RecordingLog> log = nullptr)
 {
     auto ckpt = std::make_shared<core::SimCheckpoint>();
     ckpt->componentBytes.resize(blob_bytes);
+    ckpt->log = std::move(log);
     return ckpt;
 }
 
-/** LRU behaviour, byte cap, oversize rejection, and stats. */
+/** LRU behaviour, byte cap, oversize rejection, stats, and the
+ *  charge of a log several checkpoints share. */
 TEST(CkptEquiv, CheckpointCacheLruAndStats)
 {
     // Cap sized for two of the three entries (plus struct overhead).
@@ -717,6 +850,53 @@ TEST(CkptEquiv, CheckpointCacheLruAndStats)
     EXPECT_EQ(cache.get("a"), nullptr);
     EXPECT_EQ(cache.stats().forks, 2u);
     EXPECT_EQ(cache.stats().bytesResident, 0u);
+
+    // Three checkpoints of one capture pass share its log: it is
+    // charged once, for as long as any of them is resident. Room for
+    // four checkpoints and the log.
+    auto log = std::make_shared<core::RecordingLog>();
+    log->stores.resize(2048);
+    log->regions.resize(256);
+    const std::size_t logBytes = log->bytes();
+    const std::size_t own = dummyCheckpoint(blob)->bytes();
+    ASSERT_EQ(dummyCheckpoint(blob, log)->bytes(), own)
+        << "a checkpoint's own bytes leave out the shared log";
+    core::CheckpointCache shared(4 * own + logBytes + own / 2);
+    for (const char *key : {"s1", "s2", "s3"})
+        shared.insert(key, dummyCheckpoint(blob, log));
+    s = shared.stats();
+    EXPECT_EQ(s.entries, 3u);
+    EXPECT_EQ(s.bytesResident, 3 * own + logBytes);
+    EXPECT_EQ(s.logBytesResident, logBytes);
+    StatsRegistry sharedReg;
+    shared.fillStats(sharedReg);
+    EXPECT_EQ(sharedReg.counterValue("ckpt.logBytesResident"), logBytes);
+
+    // Unrelated entries push out s1, then s2 (LRU first). s3 still
+    // reads the log, so the log stays charged.
+    for (const char *key : {"o1", "o2", "o3"})
+        shared.insert(key, dummyCheckpoint(blob));
+    s = shared.stats();
+    EXPECT_EQ(s.evictions, 2u);
+    EXPECT_EQ(s.entries, 4u);
+    EXPECT_EQ(s.bytesResident, 4 * own + logBytes);
+    EXPECT_EQ(s.logBytesResident, logBytes);
+    EXPECT_EQ(shared.get("s1"), nullptr);
+    EXPECT_EQ(shared.get("s2"), nullptr);
+
+    // Evicting s3, the log's last reader, releases the charge.
+    shared.insert("o4", dummyCheckpoint(blob));
+    s = shared.stats();
+    EXPECT_EQ(s.evictions, 3u);
+    EXPECT_EQ(shared.get("s3"), nullptr);
+    EXPECT_EQ(s.bytesResident, 4 * own);
+    EXPECT_EQ(s.logBytesResident, 0u);
+
+    shared.insert("s4", dummyCheckpoint(blob, log));
+    EXPECT_EQ(shared.stats().logBytesResident, logBytes);
+    shared.clear();
+    EXPECT_EQ(shared.stats().bytesResident, 0u);
+    EXPECT_EQ(shared.stats().logBytesResident, 0u);
 }
 
 } // namespace

@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering, stats,
- * deterministic RNG, and the one-live-simulator-per-arena guard.
+ * deterministic RNG, the one-live-simulator-per-arena guard, and the
+ * arena footprint of FlatMap64's periodic cleanups.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 
 #include "core/whole_system_sim.hh"
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -214,6 +217,90 @@ TEST(SimArenaGuard, OneLiveSimulatorPerArena)
     core::WholeSystemSim next(*mod, cfg, &arena);
     EXPECT_EQ(arena.liveSims(), 1u);
     EXPECT_EQ(next.run("main").returnValues.at(0), expected);
+}
+
+std::vector<std::uint8_t>
+captured(const sim::FlatMap64 &map)
+{
+    std::vector<std::uint8_t> bytes;
+    sim::StateWriter w(bytes);
+    map.captureState(w);
+    return bytes;
+}
+
+/**
+ * What eraseIf(v <= @p cutoff) leaves, rebuilt the plain way: a
+ * freshly allocated table of the same capacity, filled with the kept
+ * entries in @p before's slot order. Returns its captured state.
+ */
+std::vector<std::uint8_t>
+referenceCleanup(const std::vector<std::uint8_t> &before,
+                 std::uint64_t cutoff)
+{
+    sim::StateReader r(before);
+    const auto cap = r.pod<std::uint64_t>();
+    const auto n = r.pod<std::uint64_t>();
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> kept;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const auto key = r.pod<std::uint64_t>();
+        const auto val = r.pod<std::uint64_t>();
+        if (val > cutoff)
+            kept.emplace_back(key, val);
+    }
+    std::vector<std::uint8_t> state;
+    sim::StateWriter w(state);
+    w.pod<std::uint64_t>(cap);
+    w.pod<std::uint64_t>(kept.size());
+    for (const auto &[key, val] : kept) {
+        w.pod(key);
+        w.pod(val);
+    }
+    sim::ArenaScope heap(nullptr);
+    sim::FlatMap64 fresh;
+    sim::StateReader fill(state);
+    fresh.restoreState(fill);
+    return captured(fresh);
+}
+
+// The memory controller's in-flight table and each core's
+// line-persist map drop stale entries every few thousand updates. In
+// an arena a rebuild cannot free the table it replaces, so it must
+// rebuild into the one it retired last time: any number of cleanups
+// stay within two tables of arena bytes, with the slot layout (and so
+// the captured checkpoint bytes) of a rebuild into fresh storage.
+TEST(FlatMap64, ArenaCleanupsCycleBetweenTwoTables)
+{
+    sim::SimArena arena;
+    sim::ArenaScope scope(&arena);
+    sim::FlatMap64 map(4096);
+    const std::size_t oneTable = arena.allocatedBytes();
+    ASSERT_GT(oneTable, 0u);
+
+    std::map<std::uint64_t, std::uint64_t> model;
+    std::uint64_t tick = 0;
+    for (int round = 0; round < 200; ++round) {
+        for (int i = 0; i < 1000; ++i) {
+            const std::uint64_t key = 8 * ((tick * 2654435761u) % 20000);
+            ++tick;
+            map.insertOrAssign(key, tick);
+            model[key] = tick;
+        }
+        const std::uint64_t cutoff = tick > 3000 ? tick - 3000 : 0;
+        const auto expected = referenceCleanup(captured(map), cutoff);
+        map.eraseIf([cutoff](std::uint64_t t) { return t <= cutoff; });
+        std::erase_if(model, [cutoff](const auto &kv) {
+            return kv.second <= cutoff;
+        });
+        ASSERT_EQ(captured(map), expected) << "round " << round;
+        ASSERT_EQ(map.size(), model.size());
+        ASSERT_LE(arena.allocatedBytes(), 2 * oneTable)
+            << "round " << round;
+    }
+    for (const auto &[key, val] : model) {
+        const std::uint64_t *got = map.find(key);
+        ASSERT_NE(got, nullptr);
+        EXPECT_EQ(*got, val);
+    }
 }
 
 } // namespace

@@ -69,7 +69,7 @@ for san in "${SANITIZERS[@]}"; do
     # or undetected media fault — and the sanitizers watch the
     # hardened recovery path itself while it degrades. Runs in
     # forked mode (--fork) so the checkpoint capture/restore path —
-    # the byte-blob component protocol and the bundle hand-off — is
+    # the byte-blob component protocol and the shared recording log — is
     # itself exercised under ASan and UBSan.
     "$dir"/tools/cwsp_faultcampaign --apps fft,bzip2 \
           --points 1 --fork --jobs "$JOBS" --quiet
@@ -84,6 +84,16 @@ for san in "${SANITIZERS[@]}"; do
     "$dir"/tests/test_fault_campaign --gtest_filter=\
 'FaultCampaign.EnumerationRunIsThePlainRun:'\
 'FaultCampaign.CrashPointCollectorDedupsSubsamplesAndBounds'
+    echo "== $san: shared-log checkpoint smoke =="
+    # A capture pass's checkpoints share its recording log and read
+    # it through views, ReplayCache's unstamped stores from each
+    # checkpoint's own tail; the cache charges the log once; arena
+    # flat maps rebuild into their retired table. Standalone, so a
+    # view or accounting fault fails under its own banner.
+    "$dir"/tests/test_ckpt_equiv --gtest_filter=\
+'CkptEquiv.SharedLogForksMatchScratch:'\
+'CkptEquiv.CheckpointCacheLruAndStats'
+    "$dir"/tests/test_sim --gtest_filter='FlatMap64.*'
     echo "== $san: cwsp_run crash-sweep smoke (cwsp, capri) =="
     # The CLI sweep prepares the same way: cwsp records, takes the
     # golden facts from the recording and enumerates from the stream;

@@ -226,13 +226,15 @@ runMain(int argc, char **argv)
         std::fprintf(
             out,
             "  checkpoint cache: %llu captured, %llu forks, "
-            "%llu fallbacks (%s), %llu evictions, %.1f MB resident\n",
+            "%llu fallbacks (%s), %llu evictions, %.1f MB resident "
+            "(%.1f MB shared logs)\n",
             (unsigned long long)ck.captures,
             (unsigned long long)ck.forks,
             (unsigned long long)ck.fallbacks,
             ck.fallbackCauses.describe().c_str(),
             (unsigned long long)ck.evictions,
-            (double)ck.bytesResident / (1024.0 * 1024.0));
+            (double)ck.bytesResident / (1024.0 * 1024.0),
+            (double)ck.logBytesResident / (1024.0 * 1024.0));
     }
     for (const auto &f : report.failures) {
         std::fprintf(out, "minimal repro: %s\n  %s\n",

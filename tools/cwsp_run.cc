@@ -551,12 +551,14 @@ runMain(int argc, char **argv)
             auto cs = ckpts.stats();
             std::printf("checkpoint cache: %llu captured, %llu "
                         "forks, %llu fallbacks (%s), %.1f MB "
-                        "resident\n",
+                        "resident (%.1f MB shared logs)\n",
                         (unsigned long long)cs.captures,
                         (unsigned long long)cs.forks,
                         (unsigned long long)cs.fallbacks,
                         cs.fallbackCauses.describe().c_str(),
-                        (double)cs.bytesResident / (1024.0 * 1024.0));
+                        (double)cs.bytesResident / (1024.0 * 1024.0),
+                        (double)cs.logBytesResident /
+                            (1024.0 * 1024.0));
         }
         return failures == 0 ? 0 : 1;
     }
