@@ -6,19 +6,20 @@
  * the sweep patterns that dominate real bench/campaign time
  * (config sweeps over one module, crash sweeps over one golden run).
  *
- * Unlike the figure benches this one deliberately bypasses the
- * BatchRunner result cache: the object under test is the simulator
- * hot path itself, so every iteration constructs and runs a fresh
- * WholeSystemSim. Module compilation happens once per case outside
- * the timed loop.
+ * Unlike the figure table (figures.hh) this bench deliberately
+ * bypasses the BatchRunner result cache: the object under test is
+ * the simulator hot path itself, so every iteration constructs and
+ * runs a fresh WholeSystemSim. Module compilation happens once,
+ * outside the timed loops.
  *
  * The `simspeed/aggregate` counter `sims_per_sec` is the pinned
  * before/after number for the hot-path overhaul (BENCH_trajectory
  * tracks it across PRs); keep the case composition stable.
  */
 
-#include "bench_util.hh"
+#include <benchmark/benchmark.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,7 +32,6 @@
 #include "workloads/workload.hh"
 
 using namespace cwsp;
-using namespace cwsp::bench;
 
 namespace {
 
@@ -98,25 +98,37 @@ crashTicks(Tick golden_cycles, std::size_t n)
     return out;
 }
 
-void
+const char *const kSchemes[] = {"baseline", "cwsp",        "capri",
+                                "ido",      "replaycache", "psp"};
+
+/**
+ * fft compiled under each scheme of kSchemes, in that order. Built on
+ * first use, outside any timed loop.
+ */
+const std::vector<SchemeCase> &
+schemeCases()
+{
+    static const std::vector<SchemeCase> cases = [] {
+        const auto &app = workloads::appByName("fft");
+        std::vector<SchemeCase> out;
+        for (const char *s : kSchemes) {
+            auto cfg = core::makeSystemConfig(s);
+            out.push_back(SchemeCase{s, cfg, moduleFor(app, cfg)});
+        }
+        return out;
+    }();
+    return cases;
+}
+
+bool
 registerCases()
 {
-    const auto &app = workloads::appByName("fft");
-    const std::vector<std::string> schemes = {
-        "baseline", "cwsp", "capri", "ido", "replaycache", "psp"};
-
-    auto cases = std::make_shared<std::vector<SchemeCase>>();
-    for (const auto &s : schemes) {
-        auto cfg = core::makeSystemConfig(s);
-        cases->push_back(SchemeCase{s, cfg, moduleFor(app, cfg)});
-    }
-
     // Per-scheme fresh-run throughput.
-    for (std::size_t i = 0; i < cases->size(); ++i) {
+    for (std::size_t i = 0; i < std::size(kSchemes); ++i) {
         benchmark::RegisterBenchmark(
-            ("simspeed/interp/" + (*cases)[i].name).c_str(),
-            [cases, i](benchmark::State &state) {
-                const auto &c = (*cases)[i];
+            (std::string("simspeed/interp/") + kSchemes[i]).c_str(),
+            [i](benchmark::State &state) {
+                const auto &c = schemeCases()[i];
                 std::uint64_t instrs = 0;
                 for (auto _ : state)
                     instrs += runOnce(c);
@@ -133,20 +145,17 @@ registerCases()
     // over a campaign), every point replays it, and all sims share
     // one warm arena.
     {
-        auto cwspIt = cases->begin() + 1; // "cwsp"
-        auto module = cwspIt->module;
-        auto configs = std::make_shared<
-            std::vector<core::SystemConfig>>(sweepConfigs());
         benchmark::RegisterBenchmark(
-            "simspeed/config_sweep/cwsp",
-            [module, configs](benchmark::State &state) {
+            "simspeed/config_sweep/cwsp", [](benchmark::State &state) {
+                const auto &module = schemeCases()[1].module; // cwsp
+                const auto configs = sweepConfigs();
                 sim::SimArena arena;
                 std::uint64_t instrs = 0;
                 std::uint64_t sims = 0;
                 for (auto _ : state) {
                     auto stream = core::recordCommitStream(
                         *module, "main", {}, kMaxInstrs);
-                    for (const auto &cfg : *configs) {
+                    for (const auto &cfg : configs) {
                         core::WholeSystemSim sim(*module, cfg,
                                                  &arena);
                         auto r = sim.runReplay(stream, kMaxInstrs);
@@ -167,10 +176,9 @@ registerCases()
     // captures a checkpoint at every crash tick, and each case forks
     // from its checkpoint instead of re-executing the prefix.
     {
-        auto c = std::make_shared<SchemeCase>((*cases)[1]); // cwsp
         benchmark::RegisterBenchmark(
-            "simspeed/crash_sweep/cwsp",
-            [c](benchmark::State &state) {
+            "simspeed/crash_sweep/cwsp", [](benchmark::State &state) {
+                const auto *c = &schemeCases()[1]; // cwsp
                 sim::SimArena arena;
                 // The commit stream is recorded once, outside the
                 // timed loop — a campaign records each context once
@@ -228,10 +236,11 @@ registerCases()
     // pays per case once its golden pass is amortized.
     for (std::size_t idx : {std::size_t{1}, std::size_t{3},
                             std::size_t{4}}) { // cwsp ido replaycache
-        auto c = std::make_shared<SchemeCase>((*cases)[idx]);
         benchmark::RegisterBenchmark(
-            ("simspeed/crash_sweep_forked/" + c->name).c_str(),
-            [c](benchmark::State &state) {
+            (std::string("simspeed/crash_sweep_forked/") + kSchemes[idx])
+                .c_str(),
+            [idx](benchmark::State &state) {
+                const auto *c = &schemeCases()[idx];
                 sim::SimArena arena;
                 auto stream = std::make_shared<core::CommitStream>(
                     core::recordCommitStream(*c->module, "main", {},
@@ -279,27 +288,26 @@ registerCases()
     // 6 scheme runs + 6 config-sweep points + (1 golden + 8 crash)
     // = 21 simulations.
     {
-        auto configs = std::make_shared<
-            std::vector<core::SystemConfig>>(sweepConfigs());
         benchmark::RegisterBenchmark(
-            "simspeed/aggregate",
-            [cases, configs](benchmark::State &state) {
+            "simspeed/aggregate", [](benchmark::State &state) {
+                const auto &cases = schemeCases();
+                const auto configs = sweepConfigs();
                 sim::SimArena arena;
                 std::uint64_t instrs = 0;
                 std::uint64_t sims = 0;
                 for (auto _ : state) {
                     // Fresh interpreted run per scheme (cold path —
                     // each scheme's module differs, no stream reuse).
-                    for (const auto &c : *cases) {
+                    for (const auto &c : cases) {
                         instrs += runOnce(c);
                         ++sims;
                     }
                     // Sweeps run replay-accelerated, as the batch
                     // engine and campaign now run them.
-                    const auto &cw = (*cases)[1];
+                    const auto &cw = cases[1];
                     auto stream = core::recordCommitStream(
                         *cw.module, "main", {}, kMaxInstrs);
-                    for (const auto &cfg : *configs) {
+                    for (const auto &cfg : configs) {
                         core::WholeSystemSim sim(*cw.module, cfg,
                                                  &arena);
                         auto r = sim.runReplay(stream, kMaxInstrs);
@@ -332,13 +340,11 @@ registerCases()
                                  static_cast<double>(instrs));
             });
     }
+    return true;
 }
+
+[[maybe_unused]] const bool kRegistered = registerCases();
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    registerCases();
-    return benchMain(argc, argv);
-}
+BENCHMARK_MAIN();

@@ -4,22 +4,20 @@
  * determinism, compiled-module sharing, in-flight de-duplication,
  * the persistent on-disk result cache (hit/miss, version-stamp
  * invalidation, collision safety), the batch plan that picks
- * commit-stream replay or interpretation per point, the single-pass
- * commit-stream recorder's batching, and the bench helpers layered on
- * top (gmean edge cases).
+ * commit-stream replay or interpretation per point, and the
+ * single-pass commit-stream recorder's batching.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
-#include "bench_util.hh"
 #include "core/config.hh"
 #include "core/commit_stream.hh"
 #include "core/config_serial.hh"
+#include "core/whole_system_sim.hh"
 #include "driver/batch_runner.hh"
 #include "ir/builder.hh"
 #include "workloads/workload.hh"
@@ -137,7 +135,9 @@ TEST(BatchRunner, MatchesDirectSimulation)
     auto app = tinyApp("t-direct", 80);
     auto cfg = core::makeSystemConfig("cwsp");
 
-    auto direct = bench::runApp(app, cfg);
+    auto mod = workloads::buildApp(app, cfg.compiler);
+    core::WholeSystemSim sim(*mod, cfg);
+    auto direct = sim.run("main");
 
     driver::BatchRunner runner(memOnly(4));
     auto batched = runner.run(driver::DesignPoint{app, cfg});
@@ -296,13 +296,6 @@ TEST(ConfigSerial, CanonicalKeyIsDeterministic)
     other.hierarchy.tech.readCycles += 1;
     EXPECT_NE(core::systemConfigKey(cfg),
               core::systemConfigKey(other));
-}
-
-TEST(BenchUtil, GmeanOfEmptyBucketIsNaNNotZero)
-{
-    EXPECT_TRUE(std::isnan(bench::gmean({})));
-    EXPECT_DOUBLE_EQ(bench::gmean({2.0, 8.0}), 4.0);
-    EXPECT_DOUBLE_EQ(bench::gmean({3.0}), 3.0);
 }
 
 TEST(BatchPlan, StreamRecordedOnlyWhenThreePointsShareIt)

@@ -1,25 +1,22 @@
 #!/usr/bin/env bash
-# Run every figure-reproduction bench binary through the parallel
-# batch runner and aggregate their google-benchmark JSON reports into
-# one BENCH_summary.json, seeding the perf-trajectory tracking.
+# Reproduce every figure of the paper with one cwsp_figures process,
+# time the simulator with bench_simspeed, and aggregate both into one
+# BENCH_summary.json, seeding the perf-trajectory tracking.
 # bench_simspeed's cases include the checkpoint-forked crash sweeps
 # (simspeed/crash_sweep/cwsp and simspeed/crash_sweep_forked/*); their
 # sims_per_sec counters land in the trajectory append below, keyed
 # without the binaries[<name>] container prefix so entries line up
 # across PRs.
 #
-# Every case is registered with Iterations(1) (a bar is one full
-# simulation), so no --benchmark_min_time is needed; the heavy lifting
-# happens in each binary's parallel prefetch pass, which shares the
-# persistent result cache across all binaries — the 38-app baseline
-# is simulated exactly once for the whole suite, and a second
-# invocation of this script re-simulates nothing at all.
+# cwsp_figures evaluates the whole figure table as one batch through
+# the persistent result cache: the 38-app baseline is simulated once,
+# and a second invocation of this script re-simulates nothing at all.
 #
 # Usage:
-#   tools/bench_all.sh [extra bench args...]
+#   tools/bench_all.sh [extra cwsp_figures args...]
 # Environment:
-#   BUILD_DIR  build tree containing bench/ (default: build)
-#   JOBS       worker threads per binary (default: nproc)
+#   BUILD_DIR  build tree containing bench/ and tools/ (default: build)
+#   JOBS       worker threads (default: nproc)
 #   OUT        aggregate output file (default: BENCH_summary.json)
 #   TRAJ       perf-trajectory file a headline snapshot of OUT is
 #              appended to (default: BENCH_trajectory.json; empty
@@ -35,11 +32,15 @@ JOBS=${JOBS:-$(nproc)}
 OUT=${OUT:-BENCH_summary.json}
 TRAJ=${TRAJ-BENCH_trajectory.json}
 
-if ! ls "$BUILD_DIR"/bench/bench_* >/dev/null 2>&1; then
-    echo "error: no bench binaries under $BUILD_DIR/bench" \
-         "(build first: cmake --build $BUILD_DIR -j)" >&2
-    exit 1
-fi
+figures=$BUILD_DIR/tools/cwsp_figures
+simspeed=$BUILD_DIR/bench/bench_simspeed
+for b in "$figures" "$simspeed"; do
+    if [ ! -x "$b" ]; then
+        echo "error: $b is missing" \
+             "(build first: cmake --build $BUILD_DIR -j)" >&2
+        exit 1
+    fi
+done
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -53,29 +54,22 @@ if [ -f "$OUT" ]; then
 fi
 
 start=$(date +%s)
-for b in "$BUILD_DIR"/bench/bench_*; do
-    [ -x "$b" ] || continue
-    name=$(basename "$b")
-    echo ">> $name (jobs=$JOBS)" >&2
-    "$b" --jobs "$JOBS" \
-         --benchmark_out="$tmp/$name.json" \
-         --benchmark_out_format=json \
-         --stats-json "$tmp/$name.stats.json" \
-         "$@" > /dev/null
-done
+echo ">> cwsp_figures (jobs=$JOBS)" >&2
+"$figures" --jobs "$JOBS" --json "$tmp/figures.json" \
+    --stats-json "$tmp/figures.stats.json" "$@" > /dev/null
+echo ">> bench_simspeed" >&2
+"$simspeed" --benchmark_out="$tmp/simspeed.json" \
+    --benchmark_out_format=json > /dev/null
 elapsed=$(( $(date +%s) - start ))
 
 # Robustness counters ride along with the perf numbers: a bounded
 # fault campaign (trace-derived crash points, nested crashes, media
 # faults) whose detection/degradation totals are folded into the
 # summary, so the perf-trajectory diff also flags a recovery path
-# that silently starts degrading harder. The report lives in a
-# subdirectory so the aggregation glob below doesn't scoop it up as
-# a bench binary.
+# that silently starts degrading harder.
 campaign=
 if [ -x "$BUILD_DIR/tools/cwsp_faultcampaign" ]; then
-    mkdir -p "$tmp/campaign"
-    campaign=$tmp/campaign/report.json
+    campaign=$tmp/campaign.json
     echo ">> cwsp_faultcampaign (jobs=$JOBS)" >&2
     "$BUILD_DIR"/tools/cwsp_faultcampaign --apps fft,bzip2,cqueue \
         --points 1 --schedules 2 --jobs "$JOBS" \
@@ -89,55 +83,50 @@ fi
 # its most sensitive sizing knob. Folded into the summary (below) so
 # the trajectory diff also flags a bottleneck that silently shifts —
 # e.g. a path tweak that moves cwsp from path-bound to log-bound.
-# Lives in a subdirectory so the aggregation glob doesn't scoop it
-# up as a bench binary.
 whatif=
-if [ -x "$BUILD_DIR/tools/cwsp_whatif" ]; then
-    mkdir -p "$tmp/whatif"
-    whatif=$tmp/whatif/report.json
-    echo ">> cwsp_whatif (jobs=$JOBS)" >&2
-    "$BUILD_DIR"/tools/cwsp_whatif --scheme all --app fft,bzip2 \
-        --jobs "$JOBS" --json "$whatif" > /dev/null ||
+if [ -x "$BUILD_DIR/tools/cwsp_analyze" ]; then
+    whatif=$tmp/whatif.json
+    echo ">> cwsp_analyze --whatif (jobs=$JOBS)" >&2
+    "$BUILD_DIR"/tools/cwsp_analyze --whatif --scheme all \
+        --app fft,bzip2 --jobs "$JOBS" --report-json "$whatif" \
+        > /dev/null ||
         { echo "bench_all: what-if profile failed" >&2; whatif=; }
 fi
 
-python3 - "$OUT" "$elapsed" "${campaign:-none}" "${whatif:-none}" \
-    "$tmp"/*.json <<'EOF'
+python3 - "$OUT" "$elapsed" "$tmp" "${campaign:-none}" \
+    "${whatif:-none}" <<'EOF'
 import json
 import os
 import sys
 
-out_path, elapsed = sys.argv[1], int(sys.argv[2])
-campaign_path = sys.argv[3]
-whatif_path = sys.argv[4]
-del sys.argv[3:5]
-merged = {"context": None, "wall_clock_s": elapsed, "binaries": []}
-stats = {}
-for path in sys.argv[3:]:
-    with open(path) as f:
-        data = json.load(f)
-    name = os.path.basename(path)[: -len(".json")]
-    if name.endswith(".stats"):
-        # Per-binary component statistics (--stats-json): aggregated
-        # over the points that binary actually simulated. Cache hits
-        # contribute nothing, so an empty object on a warm cache is
-        # expected, not an error.
-        if data:
-            stats[name[: -len(".stats")]] = data
-        continue
-    if merged["context"] is None:
-        merged["context"] = data.get("context", {})
+out_path, elapsed, tmp = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+campaign_path, whatif_path = sys.argv[4], sys.argv[5]
+
+def load(name):
+    with open(os.path.join(tmp, name)) as f:
+        return json.load(f)
+
+simspeed = load("simspeed.json")
+figures = load("figures.json")
+merged = {
+    "context": simspeed.get("context", {}),
+    "wall_clock_s": elapsed,
     # "name" keys the entry in flattened metric paths (the baseline
-    # differ and trajectory snapshots key array entries by it), so
-    # paths stay stable when binaries are added or reordered.
-    merged["binaries"].append({
-        "name": name,
-        "binary": name,
-        "benchmarks": data.get("benchmarks", []),
-    })
-merged["component_stats"] = stats
-merged["total_cases"] = sum(
-    len(b["benchmarks"]) for b in merged["binaries"])
+    # differ and trajectory snapshots key array entries by it).
+    "binaries": [{
+        "name": "bench_simspeed",
+        "binary": "bench_simspeed",
+        "benchmarks": simspeed.get("benchmarks", []),
+    }],
+    # Every figure value plus the batch counters that produced them.
+    "figures": figures,
+    # Component statistics aggregated over the points cwsp_figures
+    # actually simulated. Cache hits contribute nothing, so an empty
+    # object on a warm cache is expected, not an error.
+    "component_stats": load("figures.stats.json"),
+}
+merged["total_cases"] = len(merged["binaries"][0]["benchmarks"]) + sum(
+    len(f["rows"]) for f in figures["figures"])
 if campaign_path != "none" and os.path.exists(campaign_path):
     with open(campaign_path) as f:
         report = json.load(f)
@@ -200,9 +189,8 @@ if whatif_path != "none" and os.path.exists(whatif_path):
     ]
 with open(out_path, "w") as f:
     json.dump(merged, f, indent=1)
-print("wrote {}: {} binaries, {} cases, {}s wall clock".format(
-    out_path, len(merged["binaries"]), merged["total_cases"],
-    elapsed))
+print("wrote {}: {} figure values and simspeed cases, {}s wall "
+      "clock".format(out_path, merged["total_cases"], elapsed))
 EOF
 
 # Warn-only regression gate: compare against the previous summary

@@ -127,7 +127,7 @@ for san in "${SANITIZERS[@]}"; do
     # rather than replaying cached numbers. The tool exits nonzero if
     # any waterfall fails to reconcile bit-exactly; cross-check
     # disagreements are report warnings, not failures.
-    "$dir"/tools/cwsp_whatif --scheme all --app fft \
+    "$dir"/tools/cwsp_analyze --whatif --scheme all --app fft \
           --no-sensitivity --no-result-cache --jobs "$JOBS" \
           > /dev/null
     echo "== $san: analyze --diff rejects junk input =="

@@ -13,9 +13,11 @@
  *   cwsp_analyze --diff OLD.json NEW.json [--threshold 0.05]
  *       baseline differ over two stats/BENCH_summary JSON files;
  *       exit 1 when a metric regressed beyond the threshold
- *   cwsp_analyze --whatif [--scheme all --app fft]
+ *   cwsp_analyze --whatif [--scheme all --app fft,bzip2]
  *       counterfactual per-resource overhead waterfalls with the
- *       stall-attribution cross-check (obs/whatif_profiler.hh)
+ *       stall-attribution cross-check (obs/whatif_profiler.hh) and
+ *       the knob-sensitivity ranking; --report-json writes the JSON
+ *       form bench_all.sh folds into BENCH_summary.json
  *
  * Span/attribution modes run each (scheme, app) point directly with
  * a full-mask TraceBuffer attached; --crash FRAC additionally
@@ -35,6 +37,7 @@
 
 #include "core/whole_system_sim.hh"
 #include "driver/batch_runner.hh"
+#include "fault/campaign.hh"
 #include "obs/baseline_diff.hh"
 #include "obs/invariant_monitor.hh"
 #include "obs/recovery_report.hh"
@@ -48,10 +51,6 @@
 using namespace cwsp;
 
 namespace {
-
-const char *const kSchemes[] = {
-    "baseline", "cwsp", "capri", "ido", "replaycache", "psp",
-};
 
 void
 usage()
@@ -87,13 +86,17 @@ usage()
         " (creates it)\n"
         "selection (run modes):\n"
         "  --scheme NAME|all      scheme(s) to run (default cwsp)\n"
-        "  --app NAME|all         app(s) to run (default fft)\n"
+        "  --app NAME[,NAME]|all  app(s) to run (default fft)\n"
         "  --suite NAME           all apps of one suite\n"
         "  --crash FRAC           also crash at FRAC of run length and"
         " check recovery\n"
         "  --trace-cap N          trace ring capacity (default 2^20)\n"
         "  --jobs N               worker threads for batch"
-        " --check-invariants\n"
+        " --check-invariants and --whatif\n"
+        "  --no-result-cache      bypass the persistent result"
+        " cache\n"
+        "what-if options:\n"
+        "  --no-sensitivity       skip the knob-sensitivity pass\n"
         "diff options:\n"
         "  --threshold F          relative change flagged (default"
         " 0.05)\n"
@@ -109,14 +112,16 @@ usage()
 std::vector<std::string>
 resolveSchemes(const std::string &spec)
 {
+    const auto &all = fault::allSchemeNames();
     if (spec == "all")
-        return {std::begin(kSchemes), std::end(kSchemes)};
-    for (const char *s : kSchemes)
+        return all;
+    std::string names;
+    for (const auto &s : all) {
         if (spec == s)
             return {spec};
-    cwsp_fatal("unknown scheme '", spec,
-               "'; valid: baseline, cwsp, capri, ido, replaycache, "
-               "psp, all");
+        names += s + ", ";
+    }
+    cwsp_fatal("unknown scheme '", spec, "'; valid: ", names, "all");
     return {};
 }
 
@@ -135,7 +140,14 @@ resolveApps(const std::string &app_spec, const std::string &suite)
     }
     if (app_spec == "all")
         return workloads::appTable();
-    return {workloads::appByName(app_spec)};
+    std::vector<workloads::AppProfile> apps;
+    std::istringstream list(app_spec);
+    for (std::string name; std::getline(list, name, ',');)
+        if (!name.empty())
+            apps.push_back(workloads::appByName(name));
+    if (apps.empty())
+        cwsp_fatal("no apps selected");
+    return apps;
 }
 
 struct RunOptions
@@ -214,10 +226,8 @@ analyzePoint(const std::string &scheme,
 int
 runBatchInvariants(const std::vector<std::string> &schemes,
                    const std::vector<workloads::AppProfile> &apps,
-                   unsigned jobs)
+                   driver::BatchConfig bc)
 {
-    driver::BatchConfig bc;
-    bc.jobs = jobs;
     bc.checkInvariants = true;
     driver::BatchRunner runner(bc);
     std::vector<driver::DesignPoint> points;
@@ -406,23 +416,27 @@ runValidateTrace(const std::string &path)
     return v.ok() ? 0 : 1;
 }
 
-/** Counterfactual what-if waterfalls over the selection. */
+/**
+ * Counterfactual what-if waterfalls over the selection, then (unless
+ * @p sensitivity is off) the knob-sensitivity ranking.
+ */
 int
 runWhatIfMode(const std::vector<std::string> &schemes,
               const std::vector<workloads::AppProfile> &apps,
-              unsigned jobs, std::uint64_t trace_cap,
-              const std::string &report_json_path)
+              const driver::BatchConfig &bc, std::uint64_t trace_cap,
+              bool sensitivity, const std::string &report_json_path)
 {
-    driver::BatchConfig bc;
-    bc.jobs = jobs;
     driver::BatchRunner runner(bc);
     obs::WhatIfOptions opt;
     opt.traceCap = trace_cap;
     obs::WhatIfReport report =
         obs::runWhatIf(runner, schemes, apps, opt);
-    obs::SensitivityOptions so;
-    auto sens = obs::runSensitivity(runner, schemes, apps, so);
-    report.batch = runner.stats();
+    std::vector<obs::SensitivityReport> sens;
+    if (sensitivity) {
+        sens = obs::runSensitivity(runner, schemes, apps);
+        report.batch = runner.stats();
+    }
+    const auto *sens_ptr = sensitivity ? &sens : nullptr;
 
     for (const auto &e : report.entries) {
         if (!e.reconciles()) {
@@ -434,10 +448,10 @@ runWhatIfMode(const std::vector<std::string> &schemes,
         }
     }
 
-    obs::writeWhatIfMarkdown(std::cout, report, &sens);
+    obs::writeWhatIfMarkdown(std::cout, report, sens_ptr);
     if (!report_json_path.empty()) {
         if (report_json_path == "-") {
-            obs::writeWhatIfJson(std::cout, report, &sens);
+            obs::writeWhatIfJson(std::cout, report, sens_ptr);
         } else {
             std::ofstream os(report_json_path);
             if (!os) {
@@ -445,9 +459,22 @@ runWhatIfMode(const std::vector<std::string> &schemes,
                              report_json_path.c_str());
                 return 2;
             }
-            obs::writeWhatIfJson(os, report, &sens);
+            obs::writeWhatIfJson(os, report, sens_ptr);
         }
     }
+
+    std::size_t warning_count = 0;
+    for (const auto &e : report.entries)
+        warning_count += e.warnings.size();
+    auto stats = runner.stats();
+    std::fprintf(stderr,
+                 "whatif: %zu points (%llu simulated, %llu memory "
+                 "hits, %llu disk hits), %zu cross-check warning%s\n",
+                 report.entries.size(),
+                 (unsigned long long)stats.simulated,
+                 (unsigned long long)stats.memoryHits,
+                 (unsigned long long)stats.diskHits, warning_count,
+                 warning_count == 1 ? "" : "s");
     return 0;
 }
 
@@ -484,7 +511,8 @@ runMain(int argc, char **argv)
     bool whatif = false;
     bool traj = false;
     bool traj_keep_cleared = false;
-    unsigned jobs = 0;
+    bool sensitivity = true;
+    driver::BatchConfig bc;
     obs::DiffOptions diff_options;
     obs::TrajectoryOptions traj_options;
 
@@ -540,8 +568,12 @@ runMain(int argc, char **argv)
         else if (a == "--trace-cap")
             opt.traceCap = std::strtoull(next(), nullptr, 0);
         else if (a == "--jobs")
-            jobs = static_cast<unsigned>(
+            bc.jobs = static_cast<unsigned>(
                 std::strtoul(next(), nullptr, 10));
+        else if (a == "--no-result-cache")
+            bc.useDiskCache = false;
+        else if (a == "--no-sensitivity")
+            sensitivity = false;
         else if (a == "--threshold")
             diff_options.threshold = std::strtod(next(), nullptr);
         else if (a == "--ignore")
@@ -566,14 +598,14 @@ runMain(int argc, char **argv)
     auto apps = resolveApps(app_spec, suite);
 
     if (whatif)
-        return runWhatIfMode(schemes, apps, jobs, opt.traceCap,
-                             report_json_path);
+        return runWhatIfMode(schemes, apps, bc, opt.traceCap,
+                             sensitivity, report_json_path);
 
     // Invariant-only smoke goes through the batch engine (parallel,
     // monitor attached per simulation by the runner itself).
     if (opt.checkInvariants && !opt.spans && !opt.attribution &&
         opt.crashFrac < 0.0)
-        return runBatchInvariants(schemes, apps, jobs);
+        return runBatchInvariants(schemes, apps, bc);
 
     if (!opt.spans && !opt.attribution)
         opt.attribution = true;

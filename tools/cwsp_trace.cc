@@ -18,6 +18,7 @@
 #include <string>
 
 #include "core/whole_system_sim.hh"
+#include "fault/campaign.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 #include "sim/trace_mask.hh"
@@ -51,16 +52,13 @@ kindName(interp::CommitKind k)
 void
 validateScheme(const std::string &scheme)
 {
-    static const char *const kSchemes[] = {
-        "baseline", "cwsp", "capri", "ido", "replaycache", "psp",
-    };
-    for (const char *s : kSchemes) {
+    std::string names;
+    for (const auto &s : fault::allSchemeNames()) {
         if (scheme == s)
             return;
+        names += names.empty() ? s : ", " + s;
     }
-    cwsp_fatal("unknown scheme '", scheme,
-               "'; valid: baseline, cwsp, capri, ido, replaycache, "
-               "psp");
+    cwsp_fatal("unknown scheme '", scheme, "'; valid: ", names);
 }
 
 /** Fail with cwsp_fatal listing the roster applications. */
