@@ -36,7 +36,10 @@
  *    touches a tag; under another geometry it walks tags live.
  *
  * Replay drives only the timing models: it keeps no memory image,
- * because nothing reads one after a replayed run or epoch.
+ * because nothing reads one after a replayed run or epoch. A crash
+ * reads the durable image off the epoch's recording, and a
+ * functional completion applies the stream's suffix from a
+ * StreamCursor.
  */
 
 #ifndef CWSP_CORE_COMMIT_STREAM_HH
@@ -127,6 +130,19 @@ class CommitStream
                outcomes.capacity() * sizeof(mem::TagOutcome) +
                victims.capacity() * sizeof(Addr) + sizeof(*this);
     }
+};
+
+/**
+ * A position in a CommitStream: the next op to apply, the steps of a
+ * batch at that op already retired (a stop may split a batch), and
+ * the Boundary ops applied before it. Every stream of one program
+ * shares its op sequence, so a cursor is valid in any of them.
+ */
+struct StreamCursor
+{
+    std::size_t op = 0;
+    std::uint64_t retired = 0;
+    std::size_t boundaries = 0;
 };
 
 /**

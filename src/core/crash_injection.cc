@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <unordered_map>
+#include <utility>
 
 #include "mem/undo_log.hh"
 #include "sim/logging.hh"
@@ -21,7 +23,31 @@ computeCrashState(Tick crash_tick, StoreLogView stores,
     CrashComputeOptions opts;
     opts.trace = trace;
     return computeCrashState(crash_tick, stores, regions, num_cores,
-                             program_finished_at, io, opts);
+                             program_finished_at, io, std::move(opts));
+}
+
+bool
+undoReplayConverges(const interp::SparseMemory &durable,
+                    const std::vector<ReplayStep> &steps, std::size_t k)
+{
+    // The replayed addresses' words of the image the second pass
+    // runs over, read from durable on first touch.
+    std::unordered_map<Addr, Word> partial;
+    auto word = [&](Addr addr) -> Word & {
+        auto [it, fresh] = partial.try_emplace(addr);
+        if (fresh)
+            it->second = durable.read(addr);
+        return it->second;
+    };
+    for (std::size_t i = steps.size(); i-- > k;)
+        word(steps[i].addr) = steps[i].before;
+    for (const ReplayStep &st : steps)
+        word(st.addr) = st.after;
+    for (const auto &[addr, value] : partial) {
+        if (value != durable.read(addr))
+            return false;
+    }
+    return true;
 }
 
 CrashState
@@ -30,12 +56,11 @@ computeCrashState(Tick crash_tick, StoreLogView stores,
                   std::uint32_t num_cores,
                   const std::vector<Tick> &program_finished_at,
                   std::span<const arch::IoRecord> io,
-                  const CrashComputeOptions &opts)
+                  CrashComputeOptions opts)
 {
     CrashState state;
     state.resume.resize(num_cores);
-    if (opts.baseNvm)
-        state.nvm = *opts.baseNvm;
+    state.nvm = std::move(opts.baseNvm);
     sim::TraceBuffer *trace = opts.trace;
     fault::FaultStats *stats = opts.stats;
     auto core_done = [&opts](std::uint32_t c) {

@@ -111,11 +111,12 @@ struct CrashState
 struct CrashComputeOptions
 {
     /**
-     * Durable memory at the start of the recorded run (nullptr =
-     * pristine). Nested-crash epochs pass the previous epoch's
-     * recovered image so the persisted prefix applies on top of it.
+     * Durable memory at the start of the recorded run (empty =
+     * pristine), moved into the crash state's image. Nested-crash
+     * epochs move the previous epoch's recovered image in, so the
+     * persisted prefix applies on top of it.
      */
-    const interp::SparseMemory *baseNvm = nullptr;
+    interp::SparseMemory baseNvm;
     /** Media faults to seed into the reconstructed log area. */
     const fault::FaultPlan *faults = nullptr;
     /** Ordinal of this failure within its schedule. */
@@ -166,8 +167,19 @@ CrashState computeCrashState(
     std::span<const arch::RegionEvent> regions,
     std::uint32_t num_cores,
     const std::vector<Tick> &program_finished_at,
-    std::span<const arch::IoRecord> io,
-    const CrashComputeOptions &opts);
+    std::span<const arch::IoRecord> io, CrashComputeOptions opts);
+
+/**
+ * Whether an undo replay re-entered after a nested failure converges:
+ * the interrupted pass applied the first @p k of @p steps over the
+ * image that @p durable is once every step is applied, so it left
+ * @p durable with steps k.. rewound, newest first; a full second pass
+ * must give @p durable back. Only replayed addresses can differ, so
+ * only they are compared.
+ */
+bool undoReplayConverges(const interp::SparseMemory &durable,
+                         const std::vector<ReplayStep> &steps,
+                         std::size_t k);
 
 } // namespace cwsp::core
 

@@ -34,8 +34,6 @@ SimCheckpoint::bytes() const
         b += snapshotBytes(kv.second) + 64; // map node overhead
     for (const auto &snap : position.exactSnaps)
         b += snapshotBytes(snap);
-    if (memory)
-        b += memory->residentBytes();
     return b;
 }
 

@@ -3,15 +3,23 @@
  * Simulator checkpoints for checkpoint-fork crash sweeps. A
  * SimCheckpoint captures the complete hot state of a WholeSystemSim
  * at one crash instant of the golden (uninterrupted) run: machine
- * identity, the recording up to that instant, the scheme and
- * hierarchy component state as one flat byte blob, the trace-ring
- * window, and — for battery-backed schemes — the exact memory image
- * and per-core control snapshots. A crash case *forks* from its
- * checkpoint: runWithCrashes() restores the capture-instant state
- * onto a freshly reset component tree and simulates only the crash,
- * the recovery, and the post-resume tail, instead of re-executing the
- * whole pre-crash prefix. Results are bit-identical to from-scratch
- * execution (pinned by tests/test_ckpt_equiv.cc).
+ * identity, the execution position, the recording up to that
+ * instant, the scheme and hierarchy component state as one flat byte
+ * blob, and the trace-ring window. It holds no memory image: every
+ * crash reads durable state off the recording, a battery-backed one
+ * too (its image is the recording's stores, applied in log order). A
+ * crash case *forks* from its checkpoint: runWithCrashes() restores
+ * the capture-instant state onto a freshly reset component tree and
+ * simulates only the crash, the recovery, and the post-resume tail,
+ * instead of re-executing the whole pre-crash prefix. Results are
+ * bit-identical to from-scratch execution (pinned by
+ * tests/test_ckpt_equiv.cc).
+ *
+ * A battery-backed crash continues execution exactly where it
+ * stopped, so the position says where: the stream cursor when the
+ * capture pass replayed a commit stream, and each running core's
+ * exact control state when it interpreted (multicore runs, or a run
+ * offered no stream).
  *
  * The checkpoints of one capture pass share that pass's recording
  * log: each holds the log, the length of the prefix its capture
@@ -36,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,7 +61,12 @@ struct ExecPosition
     std::vector<Tick> finishedAt; ///< kTickNever while running
     std::vector<Word> coreReturns;
     std::vector<std::uint8_t> coreFinished;
-    /** Running cores' exact control state (battery-backed only). */
+    /**
+     * Where a battery-backed continuation resumes: the stream cursor
+     * of a replayed run (core 0), else each running core's exact
+     * control state, kept only when asked for (battery-backed).
+     */
+    std::optional<StreamCursor> cursor;
     std::vector<interp::ControlSnapshot> exactSnaps;
 };
 
@@ -128,13 +142,6 @@ struct SimCheckpoint
     Tick samplerPeriod = 0;
     std::uint64_t samplerTracks = 0;
     std::vector<std::uint8_t> samplerBytes;
-
-    // ---- Battery-backed schemes (Capri): the crash handler reads
-    // the live memory image and snapshots the execution context
-    // (position.exactSnaps), so both are part of the checkpoint.
-    // Null/empty otherwise (the non-battery crash path reconstructs
-    // durable state from the recording alone).
-    std::unique_ptr<interp::SparseMemory> memory;
 
     /** Resident size estimate of this checkpoint's own state, for
      *  the cache byte cap; the shared log is not counted (the cache

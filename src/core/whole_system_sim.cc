@@ -1,6 +1,7 @@
 #include "core/whole_system_sim.hh"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "core/config_serial.hh"
@@ -114,6 +115,21 @@ class Driver final : public interp::CommitSink
             h.replayOutcomes(stream.outcomes, stream.victims);
     }
 
+    /**
+     * Drive core 0 from @p stream at @p at: a battery-backed crash
+     * continues where it stopped. The crash emptied every cache, so
+     * the recorded outcomes (of a run from the program start) do not
+     * apply, and the tags walk live.
+     */
+    void
+    resume(const CommitStream &stream, const StreamCursor &at)
+    {
+        stream_ = &stream;
+        nextOp_ = at.op;
+        retired_ = at.retired;
+        boundaries_ = at.boundaries;
+    }
+
     /** Run until no unfinished core's next step starts by @p stop. */
     void
     advance(Tick stop)
@@ -124,8 +140,9 @@ class Driver final : public interp::CommitSink
             runCores(stop);
     }
 
-    /** Where the run stands; @p exact also keeps each running core's
-     *  exact control state (battery-backed schemes). */
+    /** Where the run stands; @p exact also keeps each running
+     *  interpreted core's exact control state (battery-backed
+     *  schemes). A replayed run's position holds its cursor. */
     ExecPosition position(bool exact) const;
 
     void
@@ -233,8 +250,7 @@ Driver::runCores(Tick stop)
  * the stream on core 0, resuming where the last stop left off, and
  * record core 0's finish once the stream is exhausted. It writes no
  * memory image: after a replayed run or epoch nothing reads one (crash
- * handling rebuilds durable state from the recording, and only battery-
- * backed schemes, which never replay, checkpoint memory). It cuts like
+ * handling rebuilds durable state from the recording). It cuts like
  * the scheduler: a step runs iff its start cycle is at or before
  * @p stop. Every batched step costs `per` cycles, so a batch splits
  * after (stop - c) / per + 1 steps, and because retireBatch is purely
@@ -322,8 +338,20 @@ Driver::position(bool exact) const
     pos.finishedAt = finishedAt_;
     pos.coreReturns.assign(n, 0);
     pos.coreFinished.assign(n, 0);
-    if (exact)
+    if (stream_) {
+        // An interpreter restored from its exact state re-runs a
+        // prepared atomic's prepare step (restoreExact drops the
+        // prepared flag); so does a continuation from this cursor.
+        StreamCursor at{nextOp_, retired_, boundaries_};
+        const auto &ops = stream_->ops;
+        if (at.op != 0 && at.op < ops.size() &&
+            ops[at.op - 1].kind ==
+                static_cast<std::uint8_t>(interp::CommitKind::AtomicPrepare))
+            --at.op;
+        pos.cursor = at;
+    } else if (exact) {
         pos.exactSnaps.resize(n);
+    }
     for (std::size_t c = 0; c < n; ++c) {
         if (!stream_ && !cores[c])
             pos.finishedAt[c] = 0; // done before this segment
@@ -356,7 +384,6 @@ sourceRefusalName(SourceRefusal r)
       case SourceRefusal::TraceGeometry: return "trace_geometry";
       case SourceRefusal::SamplerGeometry: return "sampler_geometry";
       case SourceRefusal::Multicore: return "multicore";
-      case SourceRefusal::BatteryBacked: return "battery_backed";
     }
     return "?";
 }
@@ -445,7 +472,9 @@ collectIoStream(const ir::Module &module, const std::string &entry,
 {
     std::vector<arch::IoRecord> io;
     interp::SparseMemory memory;
-    runGolden(module, entry, args, memory, io, 200'000'000);
+    IoCollectingSink sink(io);
+    interp::runToCompletion(module, memory, entry, args, 200'000'000,
+                            &sink);
     return io;
 }
 
@@ -461,24 +490,10 @@ collectIoStream(const CommitStream &stream)
     return io;
 }
 
-Word
-runGolden(const ir::Module &module, const std::string &entry,
-          const std::vector<Word> &args, interp::SparseMemory &memory,
-          std::vector<arch::IoRecord> &io, std::uint64_t max_instrs)
-{
-    IoCollectingSink sink(io);
-    return interp::runToCompletion(module, memory, entry, args,
-                                   max_instrs, &sink);
-}
-
 SourceRefusal
-streamRefusal(const SystemConfig &config, std::size_t threads)
+streamRefusal(std::size_t threads)
 {
-    if (threads != 1)
-        return SourceRefusal::Multicore;
-    if (config.scheme.batteryBacked)
-        return SourceRefusal::BatteryBacked;
-    return SourceRefusal::None;
+    return threads == 1 ? SourceRefusal::None : SourceRefusal::Multicore;
 }
 
 WholeSystemSim::WholeSystemSim(const ir::Module &module,
@@ -684,11 +699,12 @@ WholeSystemSim::run(const std::vector<ThreadSpec> &threads,
     const ExecSource from = chooseSource(threads, stream, nullptr, 0);
     if (source)
         *source = from;
-    if (from == ExecSource::Stream)
-        return runReplay(*stream, max_instrs);
     reset();
     Driver driver(*scheme_, *memory_, nullptr, threads.size(), max_instrs);
-    driver.startFresh(*module_, threads);
+    if (from == ExecSource::Stream)
+        driver.replay(*stream);
+    else
+        driver.startFresh(*module_, threads);
     driver.advance(kTickNever);
     return collectStats(driver.position(false).coreReturns);
 }
@@ -699,13 +715,8 @@ WholeSystemSim::runReplay(const CommitStream &stream,
 {
     cwsp_assert(stream.module == module_,
                 "commit stream recorded for a different module");
-    reset();
-    Driver driver(*scheme_, *memory_, nullptr, 1, max_instrs);
-    driver.replay(stream);
-    driver.advance(kTickNever);
-    const ExecPosition pos = driver.position(false);
-    cwsp_assert(pos.coreFinished[0], "uncut replay must reach stream end");
-    return collectStats(pos.coreReturns);
+    return run({ThreadSpec{stream.entry, stream.args}}, max_instrs,
+               &stream);
 }
 
 ExecSource
@@ -750,7 +761,7 @@ WholeSystemSim::chooseSource(const std::vector<ThreadSpec> &threads,
         return ExecSource::Interpret;
     // A stream may drive this config and thread count, and it must be
     // the recording of this very program.
-    R streamWhy = streamRefusal(config_, threads.size());
+    R streamWhy = streamRefusal(threads.size());
     if (streamWhy == R::None &&
         !stream->matches(*module_, threads[0].entry, threads[0].args))
         streamWhy = stream->module != module_ ? R::Module : R::Threads;
@@ -815,20 +826,12 @@ WholeSystemSim::checkpointAt(Tick tick,
         sim::StateWriter sw(ck->samplerBytes);
         sampler_->captureState(sw);
     }
-    // The battery crash handler reads the live memory.
-    if (config_.scheme.batteryBacked)
-        ck->memory = std::make_unique<interp::SparseMemory>(*memory_);
     return ck;
 }
 
 void
 WholeSystemSim::restoreCheckpoint(const SimCheckpoint &ckpt)
 {
-    // Battery-backed schemes also need the exact capture-instant
-    // memory image (the non-battery crash path reconstructs durable
-    // state from the recording alone).
-    if (ckpt.memory)
-        memory_ = std::make_unique<interp::SparseMemory>(*ckpt.memory);
     // reset() rebuilt the component tree with identical
     // configuration, so the positional protocol lines up.
     sim::StateReader r(ckpt.componentBytes);
@@ -965,8 +968,11 @@ struct EpochEntry
     /** The epoch's own bundle the view reads, kept alive; null when
      *  it reads the forked checkpoint, which outlives the run. */
     std::shared_ptr<const RecordingBundle> owner;
-    /** Exact crash-instant control state (Continue only): battery-
-     *  backed schemes persist the execution context on failure. */
+    /** Crash-instant position (Continue only): battery-backed
+     *  schemes persist the execution context on failure. A replayed
+     *  epoch continues at its stream cursor, an interpreted one from
+     *  the exact control state. */
+    std::optional<StreamCursor> cursor;
     interp::ControlSnapshot exact;
     Word returnValue = 0; ///< Done only
 };
@@ -1010,6 +1016,72 @@ instrsAtBegin(const RecordingView &recording, RegionId region)
     return 0;
 }
 
+bool
+isBatch(const CommitStream::Op &op)
+{
+    return op.kind == CommitStream::kBatch1 ||
+           op.kind == CommitStream::kBatch2;
+}
+
+/** The cursor at commit index @p commit of @p stream: a batched step
+ *  counts one commit, an AtomicPrepare none. */
+StreamCursor
+cursorAtCommit(const CommitStream &stream, std::uint64_t commit)
+{
+    StreamCursor at;
+    std::uint64_t commits = 0;
+    for (; at.op < stream.ops.size(); ++at.op) {
+        const CommitStream::Op &op = stream.ops[at.op];
+        if (isBatch(op)) {
+            if (commits + op.aux > commit) {
+                at.retired = commits < commit ? commit - commits : 0;
+                break;
+            }
+            commits += op.aux;
+            continue;
+        }
+        if (commits >= commit)
+            break;
+        const auto kind = static_cast<interp::CommitKind>(op.kind);
+        if (kind == interp::CommitKind::Boundary)
+            ++at.boundaries;
+        if (kind != interp::CommitKind::AtomicPrepare)
+            ++commits;
+    }
+    return at;
+}
+
+/**
+ * The functional completion from @p at: apply @p stream's ops from
+ * the cursor to its end, stores to @p memory and device ops to @p io.
+ * Returns the steps they take.
+ */
+std::uint64_t
+applySuffix(const CommitStream &stream, const StreamCursor &at,
+            interp::SparseMemory &memory, std::vector<arch::IoRecord> &io)
+{
+    std::uint64_t steps = 0;
+    std::uint64_t retired = at.retired;
+    for (auto op = stream.ops.begin() + static_cast<std::ptrdiff_t>(at.op);
+         op != stream.ops.end(); ++op) {
+        if (isBatch(*op)) {
+            // Each batched step is exactly one step.
+            steps += op->aux - retired;
+            retired = 0;
+            continue;
+        }
+        if (op->flags & CommitStream::kFlagNewStep)
+            ++steps;
+        const auto kind = static_cast<interp::CommitKind>(op->kind);
+        if (kind == interp::CommitKind::Store ||
+            kind == interp::CommitKind::Atomic)
+            memory.write(op->addr, op->value);
+        else if (kind == interp::CommitKind::Io)
+            io.push_back(arch::IoRecord{op->addr, op->value, 0, 0});
+    }
+    return steps;
+}
+
 /** Trace a core's post-crash start: from its entry (@p fresh), or
  *  continuing its exact crash-instant state. */
 void
@@ -1025,7 +1097,8 @@ traceResume(sim::TraceBuffer *trace, CoreId core, Tick when, bool fresh)
  * The epoch-entry core start: a Fresh core begins at its thread's
  * entry, a Continue core at its exact crash-instant state, a Resume
  * core runs its recovery slice (an atomic resume steps over the
- * boundary into @p boundary_sink); a Done core gets no interpreter.
+ * boundary into @p boundary_sink); a Done core, and a Continue core
+ * the stream drives on from its cursor, get no interpreter.
  * @p trace (null before the first failure) records the resumes at
  * @p when. False when a slice caught a checkpoint slot the media
  * dropped: the caller degrades to a full restart.
@@ -1041,7 +1114,9 @@ startCores(Cores &cores, const std::vector<ThreadSpec> &threads,
     for (std::size_t c = 0; c < threads.size(); ++c) {
         const EpochEntry &e = rec.entries[c];
         const auto cid = static_cast<CoreId>(c);
-        if (e.kind == EpochEntry::Kind::Done) {
+        if (e.kind == EpochEntry::Kind::Done || e.cursor) {
+            if (e.cursor)
+                traceResume(trace, cid, when, false);
             cores.push_back(nullptr);
             continue;
         }
@@ -1097,10 +1172,15 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
     out.crashTick = schedule.ticks[0];
     out.source = chooseSource(threads, replay, fork, schedule.ticks[0],
                               &out.refusal);
-    // Whether a pristine epoch after the first (a full-restart retry)
-    // and the final tail may use the stream.
+    // Whether a pristine epoch after the first (a full-restart retry),
+    // a battery-backed continuation and the final tail may use the
+    // stream.
     const bool streamOk =
         chooseSource(threads, replay, nullptr, 0) == ExecSource::Stream;
+    cwsp_assert(out.source != ExecSource::Fork || streamOk ||
+                    !config_.scheme.batteryBacked || !fork->position.cursor,
+                "a battery-backed checkpoint captured from a stream "
+                "continues only on a stream of its program");
 
     Recovered rec(n);
     std::size_t scheduleIdx = 0;
@@ -1129,13 +1209,20 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
             recorded = fork->recording();
             pos = fork->position;
         } else {
-            memory_ = std::make_unique<interp::SparseMemory>(rec.durable);
+            // The epoch starts at the stream's beginning (a pristine
+            // image), at the crash-instant cursor of a replayed
+            // battery-backed epoch, or on interpreted cores, which
+            // alone read and write the recovered image.
+            const bool fromStart = streamOk && rec.pristine;
+            const std::optional<StreamCursor> &cursor = rec.entries[0].cursor;
+            if (!fromStart && !cursor)
+                memory_ = std::make_unique<interp::SparseMemory>(rec.durable);
             auto recording = std::make_shared<RecordingBundle>();
             startRecording(*recording, max_instrs, replay);
             Driver driver(*scheme_, *memory_, &recording->snapshots, n,
                           max_instrs);
             sim::TraceBuffer *resumeTrace = firstEpoch ? nullptr : trace_;
-            if (streamOk && rec.pristine) {
+            if (fromStart) {
                 // A pristine-start epoch (the first epoch, and every
                 // full-restart retry) commits exactly the recorded
                 // stream until the crash, so the timing models are
@@ -1144,6 +1231,10 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                 // interpretation.
                 traceResume(resumeTrace, 0, 0, true);
                 driver.replay(*replay);
+            } else if (cursor) {
+                // An exact continuation commits the stream's suffix.
+                traceResume(resumeTrace, 0, 0, false);
+                driver.resume(*replay, *cursor);
             } else if (!startCores(driver.cores, threads, rec, *module_,
                                    *memory_, driver, &driver,
                                    resumeTrace, 0, out.faults)) {
@@ -1159,14 +1250,17 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
             owner = std::move(recording);
         }
 
-        // The durable state at this failure. A battery flush (Section
-        // II-C) spends the residual energy draining the redo buffer
-        // and persisting the execution context, so every committed
-        // store, buffered device op, and live register survives the
-        // failure: recovery is an exact continuation after reboot — no
-        // undo replay, no region re-execution, no lost work.
-        // Undo-logged schemes reconstruct it from the recording,
-        // seeding any media faults bound to this failure.
+        // The durable state at this failure, from the recording. A
+        // battery flush (Section II-C) spends the residual energy
+        // draining the redo buffer and persisting the execution
+        // context, so every committed store, buffered device op, and
+        // live register survives the failure: recovery is an exact
+        // continuation after reboot — no undo replay, no region
+        // re-execution, no lost work. The battery-backed scheme logs
+        // every committed store, so the image is the recovered one
+        // plus this epoch's log, applied in log order. Undo-logged
+        // schemes reconstruct it, seeding any media faults bound to
+        // this failure.
         const bool battery = config_.scheme.batteryBacked;
         CrashState cs;
         if (battery) {
@@ -1174,7 +1268,9 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                 trace_->record(sim::TraceEventKind::CrashInject, 0,
                                pendingDt);
             }
-            cs.nvm = *memory_;
+            cs.nvm = std::move(rec.durable);
+            for (const arch::StoreRecord &st : recorded.stores)
+                cs.nvm.write(st.addr, st.value);
             cs.resume.resize(n);
             for (std::size_t c = 0; c < n; ++c) {
                 cs.resume[c].hasWork = !pos.coreFinished[c];
@@ -1184,8 +1280,9 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
             cs.persistedStores = recorded.stores.size();
             cs.releasedIo.assign(recorded.io.begin(), recorded.io.end());
         } else {
+            // rec.durable is replaced by the recovered image below.
             CrashComputeOptions copts;
-            copts.baseNvm = &rec.durable;
+            copts.baseNvm = std::move(rec.durable);
             copts.faults = &faults;
             copts.crashIndex = static_cast<std::uint32_t>(scheduleIdx);
             copts.stats = &out.faults;
@@ -1201,7 +1298,8 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
             cs = computeCrashState(pendingDt, recorded.stores,
                                    recorded.regions,
                                    static_cast<std::uint32_t>(n),
-                                   pos.finishedAt, recorded.io, copts);
+                                   pos.finishedAt, recorded.io,
+                                   std::move(copts));
         }
         ++out.faults.crashesInjected;
         if (!firstEpoch)
@@ -1309,7 +1407,10 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                             : pos.coreReturns[c];
                 } else if (battery) {
                     e.kind = EpochEntry::Kind::Continue;
-                    e.exact = std::move(pos.exactSnaps[c]);
+                    if (pos.cursor)
+                        e.cursor = pos.cursor;
+                    else
+                        e.exact = std::move(pos.exactSnaps[c]);
                 } else if (rp.restart &&
                            rec.entries[c].kind ==
                                EpochEntry::Kind::Resume) {
@@ -1378,14 +1479,8 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
                                0, nested, 0, scheduleIdx, k);
             }
             if (replayRecords != 0) {
-                interp::SparseMemory partial = rec.durable;
-                for (std::size_t i = cs.replaySteps.size(); i-- > k;) {
-                    partial.write(cs.replaySteps[i].addr,
-                                  cs.replaySteps[i].before);
-                }
-                for (const auto &st : cs.replaySteps)
-                    partial.write(st.addr, st.after);
-                cwsp_assert(partial.equals(rec.durable),
+                cwsp_assert(undoReplayConverges(rec.durable,
+                                                cs.replaySteps, k),
                             "undo replay is not idempotent across a "
                             "nested failure");
                 ++out.faults.undoReplayPasses;
@@ -1428,17 +1523,20 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
         memory_ = std::make_unique<interp::SparseMemory>();
     }
 
-    // Stream-driven completion: after a single healthy (fault-free)
-    // failure on one core, the resumed region re-executes over
-    // exactly the memory it saw in the recorded run — every earlier
-    // region is fully persisted, and the undo replay reverted every
-    // speculative store — so the re-execution's commit sequence is
-    // precisely the recorded stream from the resume region's begin.
-    // Apply that suffix directly (stores, device ops, step count)
-    // instead of re-interpreting it. startCores above already ran
+    // Stream-driven completion: the tail is a suffix of the recorded
+    // stream, applied directly (stores, device ops, step count)
+    // instead of re-interpreted. A battery-backed continuation of a
+    // replayed epoch resumes at its crash-instant cursor. After a
+    // single healthy (fault-free) failure on one core, the resumed
+    // region re-executes over exactly the memory it saw in the
+    // recorded run — every earlier region is fully persisted, and the
+    // undo replay reverted every speculative store — so the
+    // re-execution's commit sequence is precisely the recorded stream
+    // from the resume region's begin. startCores above already ran
     // the recovery slices, so the timed recovery accounting and trace
     // events are identical to the interpreted path.
     const EpochEntry &resumed = rec.entries[0];
+    std::optional<StreamCursor> tail = resumed.cursor;
     if (streamOk && schedule.ticks.size() == 1 &&
         faults.faults.empty() &&
         resumed.kind == EpochEntry::Kind::Resume &&
@@ -1452,37 +1550,11 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
             instrsAtBegin(resumed.recording, resumed.rp.region);
         cwsp_assert(at_resume > 0,
                     "resume region has no recorded begin");
-        const std::uint64_t cut = at_resume - 1;
-        std::uint64_t commits = 0;
-        std::uint64_t tailSteps = 0;
-        for (const CommitStream::Op &op : replay->ops) {
-            if (op.kind == CommitStream::kBatch1 ||
-                op.kind == CommitStream::kBatch2) {
-                // Each batched step is exactly one counted commit.
-                if (commits + op.aux > cut) {
-                    tailSteps += commits >= cut
-                                     ? op.aux
-                                     : commits + op.aux - cut;
-                }
-                commits += op.aux;
-                continue;
-            }
-            auto kind = static_cast<interp::CommitKind>(op.kind);
-            if (commits >= cut) {
-                if (op.flags & CommitStream::kFlagNewStep)
-                    ++tailSteps;
-                if (kind == interp::CommitKind::Store ||
-                    kind == interp::CommitKind::Atomic) {
-                    memory_->write(op.addr, op.value);
-                } else if (kind == interp::CommitKind::Io) {
-                    out.ioStream.push_back(
-                        arch::IoRecord{op.addr, op.value, 0, 0});
-                }
-            }
-            if (kind != interp::CommitKind::AtomicPrepare)
-                ++commits;
-        }
-        out.reexecutedInstrs += tailSteps;
+        tail = cursorAtCommit(*replay, at_resume - 1);
+    }
+    if (tail) {
+        out.reexecutedInstrs +=
+            applySuffix(*replay, *tail, *memory_, out.ioStream);
         out.result.returnValues[0] = replay->returnValue;
         return out;
     }

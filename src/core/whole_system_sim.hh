@@ -135,12 +135,11 @@ enum class SourceRefusal : std::uint8_t
     TraceGeometry,   ///< attached trace ring differs from the captured
     SamplerGeometry, ///< attached sampler differs from the captured
     Multicore,       ///< a stream drives one core only
-    BatteryBacked,   ///< battery crash handling needs live interpreters
 };
 
-/** SourceRefusal values (BatteryBacked is the last). */
+/** SourceRefusal values (Multicore is the last). */
 constexpr std::size_t kNumSourceRefusals =
-    static_cast<std::size_t>(SourceRefusal::BatteryBacked) + 1;
+    static_cast<std::size_t>(SourceRefusal::Multicore) + 1;
 
 /** Snake-case name of @p r ("none", "trace_sink", ...). */
 const char *sourceRefusalName(SourceRefusal r);
@@ -259,26 +258,13 @@ collectIoStream(const ir::Module &module, const std::string &entry,
 std::vector<arch::IoRecord> collectIoStream(const CommitStream &stream);
 
 /**
- * Every golden fact of an uninterrupted functional run of
- * (entry, args) from one pass: its final memory image into
- * @p memory, its device-output stream into @p io, and its return
- * value, returned. Fatal past @p max_instrs steps.
+ * Why no commit stream can drive a run of @p threads threads:
+ * Multicore (a stream drives core 0 only), or None. Every scheme
+ * replays a single-core run, battery-backed ones included: their
+ * crash continues the stream. The stream half of WholeSystemSim's
+ * source choice; a caller asks it before recording a stream at all.
  */
-Word runGolden(const ir::Module &module, const std::string &entry,
-               const std::vector<Word> &args,
-               interp::SparseMemory &memory,
-               std::vector<arch::IoRecord> &io,
-               std::uint64_t max_instrs);
-
-/**
- * Why no commit stream can drive a run of @p threads threads under
- * @p config: Multicore (a stream drives core 0 only), BatteryBacked
- * (battery crash handling snapshots live interpreters), or None. The
- * stream half of WholeSystemSim's source choice; a caller asks it
- * before recording a stream at all.
- */
-SourceRefusal streamRefusal(const SystemConfig &config,
-                            std::size_t threads);
+SourceRefusal streamRefusal(std::size_t threads);
 
 /**
  * Config-derived default sampling cadence: a few persist-path round
@@ -324,9 +310,8 @@ class WholeSystemSim
      * Run @p threads (one per core) to completion with timing.
      * @p stream, the commit stream of threads[0], drives the run
      * instead of the interpreter where the source choice allows it
-     * (one thread, not battery-backed, the same program): the run is
-     * then runReplay(@p stream), whose RunResult, component
-     * statistics and trace are bit-identical to the interpreted run.
+     * (one thread, the same program): its RunResult, component
+     * statistics and trace are bit-identical to the interpreted run's.
      * @p source, if given, receives which of the two ran.
      */
     RunResult run(const std::vector<ThreadSpec> &threads,
@@ -346,9 +331,8 @@ class WholeSystemSim
      * args) — at a fraction of the cost (no interpretation; runs of
      * constant-cost commits retire arithmetically; under the stream's
      * tag geometry the recorded cache outcomes replace the tag walk).
-     * Single-threaded programs only (the stream pins core 0). Unlike
-     * run() given a stream, it replays under battery-backed schemes
-     * too: only their crash handling needs live interpreters.
+     * Single-threaded programs only (the stream pins core 0): it is
+     * run() of the stream's (entry, args), given the stream.
      */
     RunResult runReplay(const CommitStream &stream,
                         std::uint64_t max_instrs = 2'000'000'000);
@@ -385,10 +369,17 @@ class WholeSystemSim
      *  - @p replay, the compiled commit stream of (entry, args),
      *    drives every epoch that starts from a pristine image (the
      *    first unless forked, and full-restart retries), and applies
-     *    the resumed tail of a single fault-free failure. Refused for
-     *    multi-core runs, battery-backed schemes, or a stream of
-     *    another (module, entry, args).
-     * Recovery and resumed epochs always interpret.
+     *    the resumed tail of a single fault-free failure. A
+     *    battery-backed failure continues execution exactly, so after
+     *    one the stream drives every later epoch too, from the crash
+     *    instant's cursor with a live tag walk (the crash emptied
+     *    every cache), and the final tail is the stream's suffix from
+     *    that cursor. Refused for multi-core runs or a stream of
+     *    another (module, entry, args). A battery-backed checkpoint
+     *    captured from a stream forks only with a stream of its
+     *    program.
+     * Recovery, and epochs that resume an undo-logged region, always
+     * interpret.
      */
     CrashRunResult runWithCrashes(
         const std::vector<ThreadSpec> &threads,
@@ -414,8 +405,11 @@ class WholeSystemSim
      * Recording stops at the last tick.
      *
      * @param replay optional commit stream of (threads[0].entry,
-     * args): single-core, non-battery capture runs are then driven
-     * from the stream (same rules as runWithCrashes' replay).
+     * args): single-core capture runs are then driven from the stream
+     * (same rules as runWithCrashes' replay). Their checkpoints hold
+     * no cache tags and carry the stream cursor; interpreted ones
+     * carry each running core's exact control state under
+     * battery-backed schemes.
      */
     CheckpointRun captureCheckpoints(
         const std::vector<ThreadSpec> &threads,

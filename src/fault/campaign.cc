@@ -600,23 +600,15 @@ prepareGoldenRun(const ir::Module &module, const core::SystemConfig &config,
                  std::size_t max_per_kind, std::uint64_t max_instrs,
                  std::uint64_t expected_instrs)
 {
-    const std::vector<core::ThreadSpec> threads{core::ThreadSpec{}};
     GoldenRun g;
-    if (core::streamRefusal(config, threads.size()) ==
-        core::SourceRefusal::None) {
-        g.stream = core::recordCommitStream(module, "main", {},
-                                            config.hierarchy, max_instrs,
-                                            expected_instrs, &g.memory);
-        g.hasStream = true;
-        g.result = g.stream.returnValue;
-        g.io = core::collectIoStream(g.stream);
-    } else {
-        g.result = core::runGolden(module, "main", {}, g.memory, g.io,
-                                   max_instrs);
-    }
-    g.points = enumerateCrashPoints(module, config, threads, max_per_kind,
-                                    max_instrs,
-                                    g.hasStream ? &g.stream : nullptr);
+    g.stream = core::recordCommitStream(module, "main", {},
+                                        config.hierarchy, max_instrs,
+                                        expected_instrs, &g.memory);
+    g.hasStream = true;
+    g.result = g.stream.returnValue;
+    g.io = core::collectIoStream(g.stream);
+    g.points = enumerateCrashPoints(module, config, {core::ThreadSpec{}},
+                                    max_per_kind, max_instrs, &g.stream);
     return g;
 }
 
@@ -726,11 +718,10 @@ runCampaign(const CampaignOptions &options)
                 core::WholeSystemSim sim(*ctx.module, ctx.config);
                 auto cr = sim.captureCheckpoints(
                     {core::ThreadSpec{}}, ticks, options.maxInstrs,
-                    golden.hasStream ? &golden.stream : nullptr);
+                    &golden.stream);
                 // The capture pass re-runs the golden schedule, driven
-                // by the same source as the enumeration run: replay
-                // when there is a stream, else the interpreter. It
-                // must land on the enumeration run's counts. (That
+                // by the same stream as the enumeration run. It must
+                // land on the enumeration run's counts. (That
                 // replay reproduces interpretation is tier-1's check:
                 // test_fault_campaign, EnumerationRunIsThePlainRun.)
                 cwsp_assert(cr.result.cycles == golden.points.runCycles &&
@@ -765,7 +756,7 @@ runCampaign(const CampaignOptions &options)
         } else {
             ++report.enumerations.interpret;
             report.enumerations.interpretCauses.note(
-                core::streamRefusal(ctx.config, ctx.threads.size()));
+                core::streamRefusal(ctx.threads.size()));
         }
     }
     std::vector<const Context *> caseCtx;

@@ -244,7 +244,7 @@ struct SchemeRecoveryStats
 /**
  * Where the campaign's contexts took their crash points from: a
  * commit-stream replay, or an interpreted run, counted by why no
- * stream drove it (battery_backed or multicore).
+ * stream drove it (multicore).
  */
 struct EnumerationSources
 {
@@ -376,16 +376,14 @@ struct GoldenRun
 
 /**
  * Prepare the golden reference of @p module's "main" under @p config
- * with one interpreted pass. Where a stream can drive its runs
- * (core::streamRefusal), that pass records the commit stream, with
- * the cache outcomes of config.hierarchy, and ends holding every
- * golden fact: the return value, the final memory image and the
- * device output. Replaying the stream then times the golden run and
- * enumerates its crash points (at most @p max_per_kind per kind).
- * Battery-backed schemes never replay: one functional run yields
- * their golden facts, and the enumeration interprets. Every pass
- * stops at @p max_instrs steps; @p expected_instrs pre-sizes the
- * recording (workloads::estimatedInstrs).
+ * with one interpreted pass, under every scheme: that pass records
+ * the commit stream, with the cache outcomes of config.hierarchy, and
+ * ends holding every golden fact: the return value, the final memory
+ * image and the device output. Replaying the stream then times the
+ * golden run and enumerates its crash points (at most
+ * @p max_per_kind per kind). Every pass stops at @p max_instrs steps;
+ * @p expected_instrs pre-sizes the recording
+ * (workloads::estimatedInstrs).
  */
 GoldenRun prepareGoldenRun(const ir::Module &module,
                            const core::SystemConfig &config,

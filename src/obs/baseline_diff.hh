@@ -24,11 +24,14 @@ struct DiffOptions
     double threshold = 0.05;
     /**
      * Metrics containing any of these substrings are skipped.
-     * Defaults drop wall-clock measurements, which vary run to run
-     * on a loaded machine; simulated-cycle metrics stay in.
+     * Defaults drop host measurements, which vary run to run on a
+     * loaded machine: wall and CPU clocks, google-benchmark's
+     * iteration counts, and bench_simspeed's host-speed counters
+     * (ns_per_instr, sims_per_sec). Simulated-cycle metrics stay in.
      */
     std::vector<std::string> ignoreSubstrings = {
-        "real_time", "cpu_time", "wall_clock", "load_avg"};
+        "real_time",    "cpu_time",     "wall_clock", "load_avg",
+        "ns_per_instr", "sims_per_sec", "iterations"};
 };
 
 /** One metric whose value moved beyond the threshold. */

@@ -113,6 +113,24 @@ expectSameCrashResult(const core::CrashRunResult &a,
     EXPECT_EQ(a.recoveryWindows, b.recoveryWindows);
 }
 
+/** expectSameCrashResult, plus each recovery window's phase tiling. */
+void
+expectSameCrashRun(const core::CrashRunResult &a,
+                   const core::CrashRunResult &b)
+{
+    expectSameCrashResult(a, b);
+    ASSERT_EQ(a.recoveryBreakdowns.size(), b.recoveryBreakdowns.size());
+    for (std::size_t w = 0; w < a.recoveryBreakdowns.size(); ++w) {
+        const auto &x = a.recoveryBreakdowns[w];
+        const auto &y = b.recoveryBreakdowns[w];
+        EXPECT_EQ(x.window, y.window);
+        EXPECT_EQ(x.replayRecords, y.replayRecords);
+        EXPECT_EQ(x.sliceOps, y.sliceOps);
+        for (std::size_t p = 0; p < core::kNumRecoveryPhases; ++p)
+            EXPECT_EQ(x.phase[p], y.phase[p]);
+    }
+}
+
 /** Every field of every store record, in order. */
 void
 expectSameStores(const std::vector<arch::StoreRecord> &a,
@@ -197,7 +215,7 @@ TEST(CkptEquiv, AllAppsAllSchemesForkedIdentical)
 TEST(CkptEquiv, ReplayCapturedCheckpointsHoldNoTags)
 {
     std::vector<core::ThreadSpec> threads(1);
-    for (const std::string scheme : {"cwsp", "psp"}) {
+    for (const std::string scheme : {"cwsp", "psp", "capri"}) {
         SCOPED_TRACE(scheme);
         auto cfg = core::makeSystemConfig(scheme);
         auto mod = workloads::buildApp(workloads::appByName("astar"),
@@ -236,6 +254,67 @@ TEST(CkptEquiv, ReplayCapturedCheckpointsHoldNoTags)
             EXPECT_EQ(got.source, core::ExecSource::Fork);
             expectSameCrashResult(ref, got);
             EXPECT_EQ(refJson, statsJson(forked));
+            EXPECT_TRUE(scratch.memory().equals(forked.memory()));
+        }
+    }
+}
+
+/**
+ * Capri checkpoints captured from a stream hold no memory image and
+ * no control snapshots: the capture instant's stream cursor is where
+ * a battery-backed crash continues. The capri schedules (single
+ * crashes across the run; nested ones at +1, +66 and +4096 past a
+ * mid-run crash) forked from them equal the from-scratch runs in
+ * every CrashRunResult field, the recovery breakdowns and the stats
+ * JSON, and both end on the uninterrupted run's memory image.
+ */
+TEST(CkptEquiv, CapriForksContinueTheStream)
+{
+    std::vector<core::ThreadSpec> threads(1);
+    const auto cfg = core::makeSystemConfig("capri");
+    for (const std::string app : {"fft", "bzip2", "tatp", "astar"}) {
+        auto mod = workloads::buildApp(workloads::appByName(app),
+                                       cfg.compiler);
+        interp::SparseMemory golden;
+        auto stream = core::recordCommitStream(
+            *mod, "main", {}, cfg.hierarchy, 2'000'000'000, 0, &golden);
+        core::WholeSystemSim probe(*mod, cfg);
+        const Tick cycles = probe.runReplay(stream).cycles;
+        const Tick mid = cycles / 2;
+        const std::vector<Tick> ticks = {cycles / 7, cycles / 3, mid,
+                                         (cycles * 9) / 10};
+        const std::vector<fault::CrashSchedule> schedules = {
+            {ticks[0]}, {ticks[1]}, {mid},      {ticks[3]},
+            {mid, 1},   {mid, 66},  {mid, 4096}};
+
+        core::WholeSystemSim capture(*mod, cfg);
+        auto cr = capture.captureCheckpoints(threads, ticks, 200'000'000,
+                                             &stream);
+        ASSERT_EQ(cr.checkpoints.size(), ticks.size());
+        for (const auto &ck : cr.checkpoints) {
+            EXPECT_TRUE(ck->position.cursor.has_value());
+            EXPECT_TRUE(ck->position.exactSnaps.empty());
+        }
+        for (const fault::CrashSchedule &schedule : schedules) {
+            SCOPED_TRACE(app + " @" + schedule.describe());
+            const auto at = std::find(ticks.begin(), ticks.end(),
+                                      schedule.ticks[0]);
+            const core::SimCheckpoint &ck =
+                *cr.checkpoints[static_cast<std::size_t>(at - ticks.begin())];
+
+            core::WholeSystemSim scratch(*mod, cfg);
+            auto ref = scratch.runWithCrashes(threads, schedule, {},
+                                              200'000'000, &stream);
+            core::WholeSystemSim forked(*mod, cfg);
+            auto got = forked.runWithCrashes(threads, schedule, {},
+                                             200'000'000, &stream, &ck);
+            EXPECT_EQ(ref.source, core::ExecSource::Stream);
+            EXPECT_EQ(got.source, core::ExecSource::Fork);
+            EXPECT_EQ(ref.faults.nestedCrashes, schedule.size() - 1);
+            expectSameCrashRun(ref, got);
+            EXPECT_TRUE(scratch.memory().equals(golden));
+            EXPECT_TRUE(forked.memory().equals(golden));
+            EXPECT_EQ(statsJson(scratch), statsJson(forked));
         }
     }
 }

@@ -443,18 +443,17 @@ TEST(FaultCampaign, CampaignSmokeAllPass)
     EXPECT_NE(os.str().find("\"cases_run\""), std::string::npos);
     EXPECT_NE(os.str().find("\"totals\""), std::string::npos);
 
-    // cwsp and replaycache enumerate from their streams; battery-backed
-    // capri records none and interprets.
+    // Every single-core context enumerates from its stream,
+    // battery-backed capri included.
     StatsRegistry reg;
     report.fillStats(reg);
-    EXPECT_EQ(reg.counterValue("fault_campaign.enumerations.stream"), 2u);
+    EXPECT_EQ(reg.counterValue("fault_campaign.enumerations.stream"), 3u);
     EXPECT_EQ(reg.counterValue("fault_campaign.enumerations.interpret"),
-              1u);
+              0u);
     EXPECT_EQ(reg.counterValue("fault_campaign.enumerations."
-                               "interpret_causes.battery_backed"),
-              1u);
-    EXPECT_EQ(report.enumerations.interpretCauses.describe(),
-              "1 battery_backed");
+                               "interpret_causes.multicore"),
+              0u);
+    EXPECT_EQ(report.enumerations.interpretCauses.describe(), "none");
 }
 
 // Concurrent campaign: every case of a correct scheme carries a
@@ -711,10 +710,11 @@ expectSamePoints(const fault::CrashPointSet &got,
 // count from the crash-point enumeration run instead of timing the
 // program again, so that run must be a plain timed run: attaching
 // the collector may not move a cycle. A single-core context is
-// prepared with one interpreted pass (prepareGoldenRun): its golden
-// facts come from the commit-stream recording and its crash points
-// from replaying the stream, so both must equal what the functional
-// golden passes and an interpreted, every-category enumeration give.
+// prepared with one interpreted pass (prepareGoldenRun), under every
+// scheme: its golden facts come from the commit-stream recording and
+// its crash points from replaying the stream, so both must equal what
+// the functional golden passes and an interpreted, every-category
+// enumeration give.
 TEST(FaultCampaign, EnumerationRunIsThePlainRun)
 {
     const auto *cqueue = workloads::findConcurrentApp("cqueue");
@@ -766,11 +766,8 @@ TEST(FaultCampaign, EnumerationRunIsThePlainRun)
 
             const fault::GoldenRun golden =
                 fault::prepareGoldenRun(*mod, base, 0, 200'000'000);
-            EXPECT_EQ(golden.hasStream, !base.scheme.batteryBacked)
-                << what;
-            EXPECT_EQ(golden.points.source,
-                      golden.hasStream ? core::ExecSource::Stream
-                                       : core::ExecSource::Interpret)
+            EXPECT_TRUE(golden.hasStream) << what;
+            EXPECT_EQ(golden.points.source, core::ExecSource::Stream)
                 << what;
             EXPECT_EQ(golden.result, result) << what;
             EXPECT_TRUE(golden.memory.equals(memory)) << what;
@@ -807,10 +804,10 @@ TEST(FaultCampaign, EnumerationRunIsThePlainRun)
     }
 }
 
-// Every preparation pass of a campaign (record, the battery-backed
-// golden pass, enumeration, capture) honours the campaign's
-// instruction budget: a budget shorter than the program refuses the
-// campaign before any case runs, under every scheme, forked or not.
+// Every preparation pass of a campaign (record, enumeration, capture)
+// honours the campaign's instruction budget: a budget shorter than the
+// program refuses the campaign before any case runs, under every
+// scheme, forked or not.
 TEST(FaultCampaign, PreparationHonoursTheInstructionBudget)
 {
     for (const std::string &scheme : fault::allSchemeNames()) {

@@ -393,6 +393,50 @@ TEST(Hierarchy, ReplayedOutcomesMatchLiveWalkUnderOtherTiming)
         EXPECT_EQ(live.mc(m).evictionWrites(), fed.mc(m).evictionWrites());
 }
 
+TEST(Hierarchy, DramCacheDirtyEvictions)
+{
+    // A store sweep over four times a small DRAM cache evicts dirty
+    // DRAM-cache lines. The MCs write each one back unless
+    // dropLlcDirtyEvictions drops it, and Capri's dramEvictionDelay
+    // adds its cycles to the access that caused each.
+    auto cfg = defaultHierarchy();
+    cfg.sramLevels[0].sizeBytes = 1024;
+    cfg.sramLevels[1].sizeBytes = 4096;
+    cfg.sramLevels[1].ways = 1;
+    cfg.dramCache.sizeBytes = 16 * 1024;
+    ASSERT_FALSE(cfg.dropLlcDirtyEvictions);
+    auto delayed = cfg;
+    delayed.dramEvictionDelay = 40;
+    auto dropped = cfg;
+    dropped.dropLlcDirtyEvictions = true;
+    auto evictionWrites = [](Hierarchy &h) {
+        std::uint64_t n = 0;
+        for (McId m = 0; m < h.numMcs(); ++m)
+            n += h.mc(m).evictionWrites();
+        return n;
+    };
+
+    Hierarchy plain(cfg, 1);
+    Hierarchy slow(delayed, 1);
+    Hierarchy quiet(dropped, 1);
+    Tick now = 0;
+    for (Addr a = 0; a < 4 * cfg.dramCache.sizeBytes; a += 64) {
+        SCOPED_TRACE(a);
+        const std::uint64_t before = evictionWrites(plain);
+        const AccessOutcome p = plain.access(0, 0x40000000 + a, true, now);
+        const AccessOutcome d = slow.access(0, 0x40000000 + a, true, now);
+        quiet.access(0, 0x40000000 + a, true, now);
+        const auto charged =
+            static_cast<std::uint32_t>(evictionWrites(plain) - before);
+        ASSERT_EQ(d.latency, p.latency + 40 * charged);
+        ASSERT_EQ(d.evictionStall, p.evictionStall + 40 * charged);
+        now += 50;
+    }
+    EXPECT_GT(evictionWrites(plain), 0u);
+    EXPECT_EQ(evictionWrites(slow), evictionWrites(plain));
+    EXPECT_EQ(evictionWrites(quiet), 0u);
+}
+
 TEST(Hierarchy, McInterleavingByLine)
 {
     auto cfg = defaultHierarchy();

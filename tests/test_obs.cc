@@ -534,6 +534,34 @@ TEST(BaselineDiff, IgnoreListAndThresholdAreHonored)
     EXPECT_FALSE(result.hasRegressions());
 }
 
+TEST(BaselineDiff, HostSpeedCountersAreIgnoredByDefault)
+{
+    // Two bench summaries that differ only in bench_simspeed's host
+    // timings: no regression. A simulated-cycle change still is one.
+    const std::string before =
+        R"({"binaries":[{"name":"bench_simspeed","benchmarks":[)"
+        R"({"name":"replay/fft","iterations":40,"ns_per_instr":2.1,)"
+        R"("sims_per_sec":310,"cycles":5000}]}]})";
+    const std::string hostOnly =
+        R"({"binaries":[{"name":"bench_simspeed","benchmarks":[)"
+        R"({"name":"replay/fft","iterations":61,"ns_per_instr":3.2,)"
+        R"("sims_per_sec":160,"cycles":5000}]}]})";
+    const std::string cyclesToo =
+        R"({"binaries":[{"name":"bench_simspeed","benchmarks":[)"
+        R"({"name":"replay/fft","iterations":61,"ns_per_instr":3.2,)"
+        R"("sims_per_sec":160,"cycles":5600}]}]})";
+
+    auto quiet = obs::diffMetrics(before, hostOnly);
+    EXPECT_EQ(quiet.regressions.size(), 0u);
+    EXPECT_EQ(quiet.ignored, 3u);
+    EXPECT_EQ(quiet.compared, 1u);
+
+    auto moved = obs::diffMetrics(before, cyclesToo);
+    ASSERT_EQ(moved.regressions.size(), 1u);
+    EXPECT_EQ(moved.regressions[0].metric,
+              "binaries[bench_simspeed].benchmarks[replay/fft].cycles");
+}
+
 TEST(BaselineDiff, ZeroToNonzeroIsAnInfiniteRegression)
 {
     auto result = obs::diffMetrics(R"({"drops":0})",

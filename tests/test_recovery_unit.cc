@@ -3,11 +3,16 @@
  * Unit tests for the recovery machinery in isolation: recovery-slice
  * execution, crash-state computation from hand-made persistence
  * records (persisted prefix, undo-log retention/reversal rules,
- * resume-point selection), and the checkpoint-log retention rule
- * that protects the oldest unpersisted region's recovery inputs.
+ * resume-point selection), the checkpoint-log retention rule that
+ * protects the oldest unpersisted region's recovery inputs, and the
+ * convergence check of an undo replay re-entered after a nested
+ * failure.
  */
 
 #include <gtest/gtest.h>
+
+#include <random>
+#include <vector>
 
 #include "core/crash_injection.hh"
 #include "core/recovery_engine.hh"
@@ -306,6 +311,85 @@ TEST(RecoverySlice, FrameDepthSelectsSlotArea)
     slice.ops.push_back(op);
     core::runRecoverySlice(it, slice);
     EXPECT_EQ(it.reg(6), 1234u);
+}
+
+/**
+ * The whole-image formulation undoReplayConverges stands for: rewind
+ * steps k.. of a copy of @p durable, newest first, re-apply every
+ * step, and compare the whole images.
+ */
+bool
+convergesWholeImage(const interp::SparseMemory &durable,
+                    const std::vector<core::ReplayStep> &steps,
+                    std::size_t k)
+{
+    interp::SparseMemory partial = durable;
+    for (std::size_t i = steps.size(); i-- > k;)
+        partial.write(steps[i].addr, steps[i].before);
+    for (const auto &st : steps)
+        partial.write(st.addr, st.after);
+    return partial.equals(durable);
+}
+
+TEST(UndoReplayConvergence, NonConvergenceOffTheLastAddress)
+{
+    // The replay wrote A then B; the image then lost A's value. Only
+    // A differs after a second pass, and B is the last address.
+    const Addr a = 0x2000, b = 0x2008;
+    std::vector<core::ReplayStep> steps = {{1, a, 5, 1}, {1, b, 6, 2}};
+    interp::SparseMemory durable;
+    durable.write(a, 7);
+    durable.write(b, 2);
+    for (std::size_t k = 0; k <= steps.size(); ++k) {
+        EXPECT_FALSE(convergesWholeImage(durable, steps, k));
+        EXPECT_FALSE(core::undoReplayConverges(durable, steps, k));
+    }
+    durable.write(a, 1);
+    for (std::size_t k = 0; k <= steps.size(); ++k)
+        EXPECT_TRUE(core::undoReplayConverges(durable, steps, k));
+}
+
+TEST(UndoReplayConvergence, MatchesWholeImageCheck)
+{
+    // Random images, and a replay recorded over each: every step
+    // overwrites a word (often one an earlier step wrote) with a
+    // logged old value. Every third image then moves off the replay at
+    // a replayed address other than the last step's, as a write after
+    // the replay would, so no second pass converges there.
+    std::mt19937_64 rng(20261019);
+    auto word = [&rng] { return Addr{0x10000} + (rng() % 64) * 8; };
+    std::size_t converged = 0, diverged = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        interp::SparseMemory durable;
+        for (int w = 0; w < 48; ++w)
+            durable.write(word(), rng());
+        std::vector<core::ReplayStep> steps(1 + rng() % 24);
+        for (core::ReplayStep &st : steps) {
+            st.addr = word();
+            st.before = durable.read(st.addr);
+            st.after = rng() % 4 == 0 ? 0 : rng();
+            durable.write(st.addr, st.after);
+        }
+        bool perturbed = false;
+        if (trial % 3 == 0) {
+            for (const core::ReplayStep &st : steps) {
+                if (st.addr != steps.back().addr) {
+                    durable.write(st.addr, durable.read(st.addr) ^ 1);
+                    perturbed = true;
+                    break;
+                }
+            }
+        }
+        for (std::size_t k = 0; k <= steps.size(); ++k) {
+            const bool whole = convergesWholeImage(durable, steps, k);
+            EXPECT_EQ(whole, !perturbed);
+            EXPECT_EQ(core::undoReplayConverges(durable, steps, k), whole)
+                << "trial " << trial << ", k " << k;
+            ++(whole ? converged : diverged);
+        }
+    }
+    EXPECT_GT(converged, 0u);
+    EXPECT_GT(diverged, 0u);
 }
 
 } // namespace

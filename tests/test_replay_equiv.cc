@@ -6,7 +6,8 @@
  * every RunResult field, the exported statistics JSON, the trace
  * stream, and (for crash sweeps) the full CrashRunResult — whether
  * replay applies the stream's recorded cache outcomes (same tag
- * geometry) or walks the tags live (another geometry).
+ * geometry) or walks the tags live (another geometry, or the epochs a
+ * battery-backed crash continues on the stream).
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "compiler/compiler.hh"
 #include "core/commit_stream.hh"
 #include "core/whole_system_sim.hh"
+#include "fault/fault_model.hh"
 #include "mem/hierarchy.hh"
 #include "sim/hash.hh"
+#include "workloads/kernels.hh"
 #include "workloads/workload.hh"
 
 namespace cwsp {
@@ -139,8 +143,35 @@ expectSameCrashResult(const core::CrashRunResult &a,
     for (std::size_t i = 0; i < a.ioStream.size(); ++i) {
         EXPECT_EQ(a.ioStream[i].device, b.ioStream[i].device);
         EXPECT_EQ(a.ioStream[i].payload, b.ioStream[i].payload);
+        EXPECT_EQ(a.ioStream[i].region, b.ioStream[i].region);
+        EXPECT_EQ(a.ioStream[i].core, b.ioStream[i].core);
     }
     EXPECT_EQ(a.recoveryWindows, b.recoveryWindows);
+    ASSERT_EQ(a.recoveryBreakdowns.size(), b.recoveryBreakdowns.size());
+    for (std::size_t i = 0; i < a.recoveryBreakdowns.size(); ++i) {
+        const core::RecoveryBreakdown &x = a.recoveryBreakdowns[i];
+        const core::RecoveryBreakdown &y = b.recoveryBreakdowns[i];
+        EXPECT_EQ(x.window, y.window);
+        EXPECT_TRUE(std::equal(std::begin(x.phase), std::end(x.phase),
+                               std::begin(y.phase)));
+        EXPECT_EQ(x.replayRecords, y.replayRecords);
+        EXPECT_EQ(x.sliceOps, y.sliceOps);
+    }
+    const fault::FaultStats &f = a.faults;
+    const fault::FaultStats &g = b.faults;
+    EXPECT_EQ(f.crashesInjected, g.crashesInjected);
+    EXPECT_EQ(f.nestedCrashes, g.nestedCrashes);
+    EXPECT_EQ(f.recoveryCrashes, g.recoveryCrashes);
+    EXPECT_EQ(f.undoReplayPasses, g.undoReplayPasses);
+    EXPECT_EQ(f.partialReplayRecords, g.partialReplayRecords);
+    EXPECT_EQ(f.faultsRequested, g.faultsRequested);
+    EXPECT_EQ(f.faultsApplied, g.faultsApplied);
+    EXPECT_EQ(f.corruptRecordsDetected, g.corruptRecordsDetected);
+    EXPECT_EQ(f.tornTailsDropped, g.tornTailsDropped);
+    EXPECT_EQ(f.regionRestarts, g.regionRestarts);
+    EXPECT_EQ(f.fullRestarts, g.fullRestarts);
+    EXPECT_EQ(f.staleSlotsDetected, g.staleSlotsDetected);
+    EXPECT_EQ(f.atomicResumes, g.atomicResumes);
 }
 
 /**
@@ -335,6 +366,110 @@ TEST(ReplayEquiv, OutcomesOfEveryFigureGeometry)
     std::sort(keys.begin(), keys.end());
     EXPECT_EQ(std::unique(keys.begin(), keys.end()), keys.end())
         << "each geometry must have its own stream identity";
+}
+
+/**
+ * The capri crash schedules: single crashes across the run, and
+ * nested ones that land inside the boot-only recovery window (+1),
+ * just past it (+66), and well into the continued epoch (+4096).
+ */
+std::vector<fault::CrashSchedule>
+capriSchedules(Tick cycles)
+{
+    const Tick mid = cycles / 2;
+    return {{cycles / 7}, {cycles / 3}, {mid}, {(cycles * 9) / 10},
+            {mid, 1},     {mid, 66},    {mid, 4096}};
+}
+
+/**
+ * A battery-backed crash continues the recorded stream: a capri crash
+ * run given the stream replays its first epoch, resumes each later
+ * epoch at the crash instant's cursor with a live tag walk, and
+ * applies the stream's suffix as its tail. Each must equal the
+ * interpreted run in every CrashRunResult field, the recovery
+ * breakdowns, the final memory image, the device output, the stats
+ * JSON and the trace; and, an exact continuation, end on the
+ * uninterrupted run's memory image.
+ */
+TEST(ReplayEquiv, CapriCrashesContinueTheStream)
+{
+    const auto cfg = core::makeSystemConfig("capri");
+    for (const std::string app : {"fft", "bzip2", "tatp", "astar"}) {
+        auto mod = workloads::buildApp(workloads::appByName(app),
+                                       cfg.compiler);
+        interp::SparseMemory golden;
+        auto stream = core::recordCommitStream(
+            *mod, "main", {}, cfg.hierarchy, 2'000'000'000, 0, &golden);
+        core::WholeSystemSim probe(*mod, cfg);
+        const Tick cycles = probe.runReplay(stream).cycles;
+        for (const fault::CrashSchedule &schedule : capriSchedules(cycles)) {
+            SCOPED_TRACE(app + " @" + schedule.describe());
+            DigestSink refTrace;
+            core::WholeSystemSim interp(*mod, cfg);
+            interp.attachTraceSink(&refTrace);
+            const auto ref =
+                interp.runWithCrashes({core::ThreadSpec{}}, schedule);
+
+            DigestSink trace;
+            core::WholeSystemSim replay(*mod, cfg);
+            replay.attachTraceSink(&trace);
+            const auto got = replay.runWithCrashes(
+                {core::ThreadSpec{}}, schedule, {}, 200'000'000, &stream);
+            EXPECT_EQ(ref.source, core::ExecSource::Interpret);
+            EXPECT_EQ(got.source, core::ExecSource::Stream);
+            EXPECT_TRUE(ref.crashed);
+            EXPECT_EQ(ref.faults.nestedCrashes, schedule.size() - 1);
+            expectSameCrashResult(ref, got);
+            EXPECT_TRUE(interp.memory().equals(golden));
+            EXPECT_TRUE(replay.memory().equals(golden));
+            EXPECT_EQ(statsJson(interp), statsJson(replay));
+            EXPECT_EQ(refTrace.count, trace.count);
+            EXPECT_EQ(refTrace.digest, trace.digest);
+        }
+    }
+}
+
+/**
+ * A crash between an atomic's two steps (its prepare, then the atomic
+ * itself): an interpreter restored from its exact state re-runs the
+ * prepare, and so must a continuation from the stream cursor. Every
+ * third tick of a small atomic kernel's run, crashed once and nested,
+ * lands there often; each must equal the interpreted run and end on
+ * the uninterrupted run's memory image.
+ */
+TEST(ReplayEquiv, CapriCrashesBetweenAtomicSteps)
+{
+    workloads::AtomicMixParams ap;
+    ap.tableWords = 1 << 6;
+    ap.counters = 4;
+    ap.txs = 12;
+    ap.opsPerTx = 4;
+    ap.seed = 4242;
+    const auto cfg = core::makeSystemConfig("capri");
+    auto mod = workloads::buildAtomicMixKernel(ap);
+    compiler::compileForWsp(*mod, cfg.compiler);
+    interp::SparseMemory golden;
+    auto stream = core::recordCommitStream(
+        *mod, "main", {}, cfg.hierarchy, 2'000'000'000, 0, &golden);
+    core::WholeSystemSim probe(*mod, cfg);
+    const Tick cycles = probe.runReplay(stream).cycles;
+    for (Tick t = 1; t < cycles; t += 3) {
+        for (const fault::CrashSchedule &schedule :
+             {fault::CrashSchedule{t}, fault::CrashSchedule{t, 66}}) {
+            SCOPED_TRACE(schedule.describe());
+            core::WholeSystemSim interp(*mod, cfg);
+            const auto ref =
+                interp.runWithCrashes({core::ThreadSpec{}}, schedule);
+            core::WholeSystemSim replay(*mod, cfg);
+            const auto got = replay.runWithCrashes(
+                {core::ThreadSpec{}}, schedule, {}, 200'000'000, &stream);
+            expectSameCrashResult(ref, got);
+            EXPECT_TRUE(replay.memory().equals(golden));
+            EXPECT_EQ(statsJson(interp), statsJson(replay));
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
 }
 
 /** A stream for a different program must be ignored, not misapplied. */

@@ -45,15 +45,17 @@ for san in "${SANITIZERS[@]}"; do
     ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
     echo "== $san: replay-equivalence smoke =="
     # The full ctest pass above already runs test_replay_equiv; this
-    # re-runs the trace/crash bit-identity cases and both cache-outcome
+    # re-runs the trace/crash bit-identity cases, both cache-outcome
     # sources (recorded for the sim's tag geometry, walked live for
-    # another) standalone so a replay divergence under the sanitizer
-    # fails with its own banner instead of disappearing into the suite
-    # summary.
+    # another) and capri's battery-backed crashes continuing the
+    # stream (cursor resume, live tag walk, suffix tail) standalone so
+    # a replay divergence under the sanitizer fails with its own
+    # banner instead of disappearing into the suite summary.
     "$dir"/tests/test_replay_equiv --gtest_filter=\
 'ReplayEquiv.TraceStreamsIdentical:ReplayEquiv.CrashSweepIdentical:'\
 'ReplayEquiv.BothOutcomeSourcesAllAppsAllSchemes:'\
-'ReplayEquiv.OutcomesOfEveryFigureGeometry'
+'ReplayEquiv.OutcomesOfEveryFigureGeometry:'\
+'ReplayEquiv.CapriCrashesContinueTheStream'
     echo "== $san: invariant smoke (every scheme) =="
     # Online protocol checking over a small batch: attaches the
     # obs::InvariantMonitor to each simulation and fails on any
@@ -88,26 +90,29 @@ for san in "${SANITIZERS[@]}"; do
     # A capture pass's checkpoints share its recording log and read
     # it through views, ReplayCache's unstamped stores from each
     # checkpoint's own tail; the cache charges the log once; arena
-    # flat maps rebuild into their retired table. Standalone, so a
+    # flat maps rebuild into their retired table; capri's checkpoints
+    # hold a stream cursor instead of a memory image. Standalone, so a
     # view or accounting fault fails under its own banner.
     "$dir"/tests/test_ckpt_equiv --gtest_filter=\
 'CkptEquiv.SharedLogForksMatchScratch:'\
-'CkptEquiv.CheckpointCacheLruAndStats'
+'CkptEquiv.CheckpointCacheLruAndStats:'\
+'CkptEquiv.CapriForksContinueTheStream'
     "$dir"/tests/test_sim --gtest_filter='FlatMap64.*'
     echo "== $san: cwsp_run crash-sweep smoke (cwsp, capri) =="
-    # The CLI sweep prepares the same way: cwsp records, takes the
-    # golden facts from the recording and enumerates from the stream;
-    # battery-backed capri takes one functional golden pass and an
-    # interpreted enumeration. Every point must recover consistently.
+    # The CLI sweep prepares the same way under every scheme: it
+    # records, takes the golden facts from the recording and
+    # enumerates from the stream; battery-backed capri's crashes then
+    # continue the stream. Every point must recover consistently.
     "$dir"/tools/cwsp_run --app fft --scheme cwsp --crash-sweep 8 \
           > /dev/null
     "$dir"/tools/cwsp_run --app fft --scheme capri --crash-sweep 4 \
           > /dev/null
     echo "== $san: large-image campaign smoke (astar, forked) =="
     # fft and bzip2 images span a few pages; astar's spans thousands.
-    # Its golden image grows through many slabs, capri's checkpoints
-    # carry a copy of the whole image, and every case's global check
-    # compares thousands of pages, all under the sanitizer.
+    # Its golden image grows through many slabs, capri's crashes build
+    # the whole image from their recording logs, and every case's
+    # global check compares thousands of pages, all under the
+    # sanitizer.
     "$dir"/tools/cwsp_faultcampaign --apps astar --schemes cwsp,capri \
           --points 1 --fork --jobs "$JOBS" --quiet
     echo "== $san: concurrent campaign smoke (durable-lin on) =="

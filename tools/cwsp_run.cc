@@ -442,8 +442,7 @@ runMain(int argc, char **argv)
         // commit stream, with this config's cache outcomes, yields the
         // golden facts; replaying it yields the crash points; and every
         // sweep point replays its pristine epochs from it instead of
-        // re-interpreting the prefix. Battery-backed schemes never
-        // replay: one functional pass, and an interpreted enumeration.
+        // re-interpreting the prefix.
         const fault::GoldenRun golden = fault::prepareGoldenRun(
             *mod, cfg,
             crash_sweep > 0 ? static_cast<std::size_t>(crash_sweep) : 0,
@@ -504,7 +503,7 @@ runMain(int argc, char **argv)
         g.result = golden.result;
         g.memory = &golden.memory;
         g.ioStream = &golden.io;
-        g.stream = golden.hasStream ? &golden.stream : nullptr;
+        g.stream = &golden.stream;
         // Capture a checkpoint at every sweep tick in one pass; each
         // point then forks from its checkpoint and simulates only
         // crash + recovery + tail (identical verdicts either way).
