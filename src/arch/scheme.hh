@@ -228,10 +228,11 @@ class Scheme : public interp::CommitSink
     /**
      * Retire @p count constant-cost commits (Alu/Branch/bare CallRet)
      * on @p core in one arithmetic step: these kinds touch no scheme
-     * state beyond the instruction counter and the core clock, so a
-     * commit-stream replay batches them instead of dispatching each
-     * through onCommit(). @p cycle_sum must be the exact total cost
-     * (1 per Alu/Branch, 2 per CallRet).
+     * state beyond the instruction counter and the core clock, so
+     * commit-stream replay and interpreted runs (runs of register-only
+     * instructions, see interp::Interpreter::runBatch) batch them
+     * instead of dispatching each through onCommit(). @p cycle_sum
+     * must be the exact total cost (1 per Alu/Branch, 2 per CallRet).
      */
     void
     retireBatch(CoreId core, std::uint64_t count, Tick cycle_sum)

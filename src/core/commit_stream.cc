@@ -89,6 +89,24 @@ class StreamRecordSink final : public interp::CommitSink
         stream_.ops.push_back(op);
     }
 
+    /**
+     * @p n whole steps of one Alu or Branch commit each, which the
+     * interpreter ran as one batch: exactly what n onCommit() calls,
+     * each opening a step, would record.
+     */
+    void
+    onBatch(std::uint64_t n)
+    {
+        stream_.commits += n;
+        // The batch's first step starts the next step, so a held
+        // CallRet was its step's only commit.
+        if (pending_) {
+            pending_ = false;
+            appendBatch(CommitStream::kBatch2);
+        }
+        appendBatch(CommitStream::kBatch1, n);
+    }
+
     /** End of stream: a held CallRet was its step's only commit. */
     void
     finish()
@@ -109,18 +127,19 @@ class StreamRecordSink final : public interp::CommitSink
     bool pending_ = false;
     CommitStream::Op pendingOp_;
 
-    /** Extend the trailing batch of kind @p bk, or start one. */
+    /** Extend the trailing batch of kind @p bk by @p n steps, or
+     *  start one. */
     void
-    appendBatch(std::uint8_t bk)
+    appendBatch(std::uint8_t bk, std::uint64_t n = 1)
     {
         if (!stream_.ops.empty() && stream_.ops.back().kind == bk) {
-            ++stream_.ops.back().aux;
+            stream_.ops.back().aux += static_cast<std::uint32_t>(n);
             return;
         }
         CommitStream::Op b;
         b.kind = bk;
         b.flags = CommitStream::kFlagNewStep;
-        b.aux = 1;
+        b.aux = static_cast<std::uint32_t>(n);
         stream_.ops.push_back(b);
     }
 };
@@ -161,6 +180,12 @@ recordCommitStream(const ir::Module &module, const std::string &entry,
     // first crash check, exactly as the interpreted path does.
     interp.start(entry, args, sink);
     while (!interp.finished()) {
+        // Register-only runs record as one kBatch1 extension.
+        const std::uint64_t n = interp.runBatch(max_instrs - stream.steps);
+        if (n != 0) {
+            sink.onBatch(n);
+            stream.steps += n;
+        }
         sink.markNewStep();
         interp.step(sink);
         if (++stream.steps > max_instrs)

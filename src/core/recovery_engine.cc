@@ -32,24 +32,26 @@ applyRsOp(interp::Interpreter &interp, const ir::RsOp &op,
         interp.setReg(op.dst, static_cast<Word>(op.imm));
         return true;
       case ir::RsOp::Kind::Apply: {
-        Word a = interp.reg(op.srcA);
-        Word b = op.bIsImm ? static_cast<Word>(op.imm)
-                           : interp.reg(op.srcB);
-        Word r = 0;
+        const Word a = interp.reg(op.srcA);
         switch (op.op) {
-          case ir::Opcode::Add: r = a + b; break;
-          case ir::Opcode::Sub: r = a - b; break;
-          case ir::Opcode::Mul: r = a * b; break;
-          case ir::Opcode::And: r = a & b; break;
-          case ir::Opcode::Or: r = a | b; break;
-          case ir::Opcode::Xor: r = a ^ b; break;
-          case ir::Opcode::Shl: r = a << (b & 63); break;
-          case ir::Opcode::Shr: r = a >> (b & 63); break;
-          case ir::Opcode::Mov: r = a; break;
+          case ir::Opcode::Mov:
+            interp.setReg(op.dst, a);
+            return true;
+          case ir::Opcode::Add:
+          case ir::Opcode::Sub:
+          case ir::Opcode::Mul:
+          case ir::Opcode::And:
+          case ir::Opcode::Or:
+          case ir::Opcode::Xor:
+          case ir::Opcode::Shl:
+          case ir::Opcode::Shr:
+            break;
           default:
             cwsp_panic("unsupported opcode in recovery slice");
         }
-        interp.setReg(op.dst, r);
+        const Word b = op.bIsImm ? static_cast<Word>(op.imm)
+                                 : interp.reg(op.srcB);
+        interp.setReg(op.dst, interp::aluValue(op.op, a, b));
         return true;
       }
     }

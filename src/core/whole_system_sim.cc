@@ -194,6 +194,58 @@ class Driver final : public interp::CommitSink
 };
 
 /**
+ * The min-key pick of both schedulers: among the candidate cores,
+ * offered in index order, the one with the smallest key wins, the
+ * lowest index on a tie. It also keeps through which key the winner
+ * stays the pick while no other core moves: below every
+ * lower-indexed candidate's key and at or below every higher-indexed
+ * one's. Register-only steps touch no shared state, so the winner's
+ * batch of steps through that key lands every shared access (and
+ * every telemetry sample) where one pick per step puts it.
+ */
+class MinPick
+{
+  public:
+    static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+    void
+    offer(std::size_t core, std::uint64_t key)
+    {
+        if (key < key_) {
+            core_ = core;
+            key_ = key;
+            below_ = seen_;
+            above_ = kNone;
+        } else {
+            above_ = std::min(above_, key);
+        }
+        seen_ = std::min(seen_, key);
+    }
+
+    bool empty() const { return core_ == kNone; }
+    std::size_t core() const { return core_; }
+
+    /**
+     * Steps of one cost each the winner may take before the next
+     * pick, its key ending at most at @p last: kNone when nothing
+     * bounds it.
+     */
+    std::uint64_t
+    room(std::uint64_t last) const
+    {
+        last = std::min({last, below_ - 1, above_});
+        return last == kNone ? kNone : last - key_ + 1;
+    }
+
+  private:
+    std::size_t core_ = kNone;
+    std::uint64_t key_ = kNone;
+    std::uint64_t below_ = kNone; ///< min key offered before the winner
+    std::uint64_t above_ = kNone; ///< min key offered after it
+    std::uint64_t seen_ = kNone;  ///< min key offered so far
+};
+
+/**
  * The min-clock scheduler: step the unfinished core with the smallest
  * clock (the lowest index on a tie) while that clock is at or before
  * @p stop — kTickNever runs every core to the end, a crash epoch
@@ -201,32 +253,22 @@ class Driver final : public interp::CommitSink
  * the free run, so successive calls with ascending stops reproduce
  * the free run's schedule exactly. Null cores are skipped; each
  * core's finish tick is recorded.
+ *
+ * Before each step, the picked core runs the register-only
+ * instructions ahead of it as one batch (Interpreter::runBatch) and
+ * retires them in one Scheme::retireBatch call: every sink a driver
+ * commits to ignores them beyond their one cycle each. A batch ends
+ * where the core would stop being the pick (MinPick::room), where
+ * its clock would pass @p stop, or at the step budget, so the steps
+ * run in the one-pick-per-step order and the stop and budget cut
+ * where they did.
  */
 void
 Driver::runCores(Tick stop)
 {
     interp::CommitSink &to = sink();
-    auto step = [&](interp::Interpreter &core) {
-        core.step(to);
-        if (++steps_ > maxInstrs_)
-            overBudget();
-    };
-    if (cores.size() == 1 && cores[0]) {
-        // Single-core fast path: the min-clock scan below always
-        // selects the only core, so skip it (it is measurable at this
-        // loop's trip count).
-        interp::Interpreter &core = *cores[0];
-        while (!core.finished() && scheme_.cycles(0) <= stop)
-            step(core);
-        if (core.finished() && finishedAt_[0] == kTickNever)
-            finishedAt_[0] = scheme_.cycles(0);
-        return;
-    }
     while (true) {
-        // Run the core with the smallest clock next (deterministic
-        // interleaving for shared-memory workloads).
-        interp::Interpreter *next = nullptr;
-        Tick best = kTickNever;
+        MinPick pick;
         for (std::size_t c = 0; c < cores.size(); ++c) {
             if (!cores[c])
                 continue;
@@ -234,14 +276,30 @@ Driver::runCores(Tick stop)
             if (cores[c]->finished()) {
                 if (finishedAt_[c] == kTickNever)
                     finishedAt_[c] = t;
-            } else if (t <= stop && t < best) {
-                best = t;
-                next = cores[c].get();
+            } else if (t <= stop) {
+                pick.offer(c, t);
             }
         }
-        if (!next)
+        if (pick.empty())
             return;
-        step(*next);
+        const auto id = static_cast<CoreId>(pick.core());
+        interp::Interpreter &core = *cores[id];
+        // A turn of one step is a plain step (cores in lockstep take
+        // turns of one).
+        const std::uint64_t room = pick.room(stop);
+        if (room > 1) {
+            const std::uint64_t n =
+                core.runBatch(std::min(room, maxInstrs_ - steps_));
+            if (n != 0) {
+                steps_ += n;
+                scheme_.retireBatch(id, n, n);
+                if (n == room)
+                    continue; // its turn is over: pick again
+            }
+        }
+        core.step(to);
+        if (++steps_ > maxInstrs_)
+            overBudget();
     }
 }
 
@@ -470,11 +528,20 @@ std::vector<arch::IoRecord>
 collectIoStream(const ir::Module &module, const std::string &entry,
                 const std::vector<Word> &args)
 {
+    // The sink keeps Io commits alone, so register-only runs batch.
+    constexpr std::uint64_t kBudget = 200'000'000;
     std::vector<arch::IoRecord> io;
     interp::SparseMemory memory;
     IoCollectingSink sink(io);
-    interp::runToCompletion(module, memory, entry, args, 200'000'000,
-                            &sink);
+    interp::Interpreter core(module, memory, 0);
+    core.start(entry, args, sink);
+    while (!core.finished()) {
+        if (core.committed() < kBudget)
+            core.runBatch(kBudget - core.committed());
+        if (core.committed() >= kBudget)
+            cwsp_fatal("instruction budget exceeded in ", entry);
+        core.step(sink);
+    }
     return io;
 }
 
@@ -1559,22 +1626,28 @@ WholeSystemSim::runWithCrashes(const std::vector<ThreadSpec> &threads,
         return out;
     }
 
+    // Round-robin on committed counts for fairness, batching
+    // register-only runs the I/O sink ignores, as the timed driver
+    // does on clocks.
     std::uint64_t re_instrs = 0;
     while (true) {
-        interp::Interpreter *next = nullptr;
-        // Round-robin on instruction counts for fairness.
-        std::uint64_t best = ~std::uint64_t{0};
+        MinPick pick;
         for (std::size_t c = 0; c < n; ++c) {
-            if (!post[c] || post[c]->finished())
-                continue;
-            if (post[c]->committed() < best) {
-                best = post[c]->committed();
-                next = post[c].get();
-            }
+            if (post[c] && !post[c]->finished())
+                pick.offer(c, post[c]->committed());
         }
-        if (!next)
+        if (pick.empty())
             break;
-        next->step(ioSink);
+        interp::Interpreter &next = *post[pick.core()];
+        const std::uint64_t room = pick.room(MinPick::kNone);
+        if (room > 1) {
+            const std::uint64_t batch =
+                next.runBatch(std::min(room, max_instrs - re_instrs));
+            re_instrs += batch;
+            if (batch == room)
+                continue;
+        }
+        next.step(ioSink);
         if (++re_instrs > max_instrs)
             cwsp_fatal("instruction budget exceeded during recovery");
     }

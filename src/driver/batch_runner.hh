@@ -63,12 +63,13 @@ inline constexpr const char *kResultCacheVersion = "cwsp-results-v1";
  * a stream (module + entry + cache tag geometry) before it is
  * recorded and replayed rather than each point interpreted. Measured
  * single-threaded over the 38-app roster x 6 schemes (Release, host
- * ns per committed instruction): recording R ~ 52, interpreted run()
- * I ~ 37, runReplay P ~ 9 with recorded cache outcomes. A stream for
- * n points costs R + n*P against n*I, so it pays once
- * n > R / (I - P) ~ 1.9: at n = 2 it saves about 5 %, within
- * run-to-run noise, for a stream's resident bytes; at n = 3 it saves
- * about 30 %.
+ * ns per committed instruction, medians of 4 runs alternating with
+ * the unbatched interpreter): recording R ~ 51, interpreted run()
+ * I ~ 37, runReplay P ~ 12, with register-only runs batched in both
+ * interpreted passes (before: R ~ 67, I ~ 48, P ~ 12 on the same
+ * host). A stream for n points costs R + n*P against n*I, so it pays
+ * once n > R / (I - P) ~ 2.0: at n = 2 it breaks even, for a
+ * stream's resident bytes; at n = 3 it saves about 23 %.
  */
 inline constexpr std::size_t kMinStreamUsers = 3;
 

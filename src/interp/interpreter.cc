@@ -6,31 +6,70 @@ namespace cwsp::interp {
 
 namespace {
 
-Word
-aluOp(ir::Opcode op, Word a, Word b)
+/** What executeRegisterOnly() did with an instruction. */
+enum class RegisterStep : std::uint8_t {
+    None,   ///< not register-only: nothing touched
+    Alu,    ///< wrote its destination and moved to the next index
+    Branch, ///< moved @p block and @p index to the target
+};
+
+/** One binary ALU instruction; @p Op is a constant. */
+template <ir::Opcode Op>
+[[gnu::always_inline]] inline RegisterStep
+binaryAlu(const ir::Instr &i, Word *regs, std::uint32_t &index)
+{
+    const Word b = i.bIsImm ? static_cast<Word>(i.imm) : regs[i.b];
+    regs[i.dst] = aluValue(Op, regs[i.a], b);
+    ++index;
+    return RegisterStep::Alu;
+}
+
+/**
+ * Execute @p i if it is a single-cycle register-only instruction, on
+ * the register file @p regs and the control position (@p block,
+ * @p index): one flat switch, shared by step() and runBatch().
+ */
+[[gnu::always_inline]] inline RegisterStep
+executeRegisterOnly(const ir::Instr &i, Word *regs, ir::BlockId &block,
+                    std::uint32_t &index)
 {
     using Op = ir::Opcode;
-    switch (op) {
-      case Op::Add: return a + b;
-      case Op::Sub: return a - b;
-      case Op::Mul: return a * b;
-      case Op::DivU: return b == 0 ? 0 : a / b;
-      case Op::RemU: return b == 0 ? a : a % b;
-      case Op::And: return a & b;
-      case Op::Or: return a | b;
-      case Op::Xor: return a ^ b;
-      case Op::Shl: return a << (b & 63);
-      case Op::Shr: return a >> (b & 63);
-      case Op::CmpEq: return a == b ? 1 : 0;
-      case Op::CmpNe: return a != b ? 1 : 0;
-      case Op::CmpUlt: return a < b ? 1 : 0;
-      case Op::CmpSlt:
-        return static_cast<std::int64_t>(a) <
-                       static_cast<std::int64_t>(b)
-                   ? 1
-                   : 0;
+    switch (i.op) {
+      case Op::MovImm:
+        regs[i.dst] = static_cast<Word>(i.imm);
+        ++index;
+        return RegisterStep::Alu;
+      case Op::Mov:
+        regs[i.dst] = regs[i.a];
+        ++index;
+        return RegisterStep::Alu;
+      case Op::Nop:
+        ++index;
+        return RegisterStep::Alu;
+      case Op::Add: return binaryAlu<Op::Add>(i, regs, index);
+      case Op::Sub: return binaryAlu<Op::Sub>(i, regs, index);
+      case Op::Mul: return binaryAlu<Op::Mul>(i, regs, index);
+      case Op::DivU: return binaryAlu<Op::DivU>(i, regs, index);
+      case Op::RemU: return binaryAlu<Op::RemU>(i, regs, index);
+      case Op::And: return binaryAlu<Op::And>(i, regs, index);
+      case Op::Or: return binaryAlu<Op::Or>(i, regs, index);
+      case Op::Xor: return binaryAlu<Op::Xor>(i, regs, index);
+      case Op::Shl: return binaryAlu<Op::Shl>(i, regs, index);
+      case Op::Shr: return binaryAlu<Op::Shr>(i, regs, index);
+      case Op::CmpEq: return binaryAlu<Op::CmpEq>(i, regs, index);
+      case Op::CmpNe: return binaryAlu<Op::CmpNe>(i, regs, index);
+      case Op::CmpUlt: return binaryAlu<Op::CmpUlt>(i, regs, index);
+      case Op::CmpSlt: return binaryAlu<Op::CmpSlt>(i, regs, index);
+      case Op::Br:
+        block = i.target0;
+        index = 0;
+        return RegisterStep::Branch;
+      case Op::CondBr:
+        block = regs[i.a] != 0 ? i.target0 : i.target1;
+        index = 0;
+        return RegisterStep::Branch;
       default:
-        cwsp_panic("aluOp on non-ALU opcode");
+        return RegisterStep::None;
     }
 }
 
@@ -79,13 +118,6 @@ Interpreter::start(const std::string &entry,
     }
 }
 
-const ir::Instr &
-Interpreter::fetch() const
-{
-    const Frame &f = frames_.back();
-    return module_->function(f.func).block(f.block).instrs()[f.index];
-}
-
 void
 Interpreter::doStore(Addr addr, Word value, bool is_ckpt,
                      CommitSink &sink, CommitInfo &info)
@@ -102,28 +134,28 @@ Interpreter::step(CommitSink &sink)
 {
     cwsp_assert(!finished_, "step() after main returned");
     Frame &f = frames_.back();
-    const ir::Function &func = module_->function(f.func);
-    const ir::Instr &i = func.block(f.block).instrs()[f.index];
+    const ir::Instr &i = code(f)[f.index];
     ++committed_;
 
     CommitInfo info;
     info.core = core_;
     info.func = f.func;
 
+    switch (executeRegisterOnly(i, f.regs.data(), f.block, f.index)) {
+      case RegisterStep::Alu:
+        info.kind = CommitKind::Alu;
+        sink.onCommit(info);
+        return StepResult::Ok;
+      case RegisterStep::Branch:
+        info.kind = CommitKind::Branch;
+        sink.onCommit(info);
+        return StepResult::Ok;
+      case RegisterStep::None:
+        break;
+    }
+
     using Op = ir::Opcode;
     switch (i.op) {
-      case Op::MovImm:
-        f.regs[i.dst] = static_cast<Word>(i.imm);
-        ++f.index;
-        info.kind = CommitKind::Alu;
-        sink.onCommit(info);
-        break;
-      case Op::Mov:
-        f.regs[i.dst] = f.regs[i.a];
-        ++f.index;
-        info.kind = CommitKind::Alu;
-        sink.onCommit(info);
-        break;
       case Op::Load: {
         Addr addr = wordAlign(f.regs[i.a] + static_cast<Word>(i.imm));
         f.regs[i.dst] = memory_->read(addr);
@@ -140,18 +172,6 @@ Interpreter::step(CommitSink &sink)
         doStore(addr, f.regs[i.a], false, sink, info);
         break;
       }
-      case Op::Br:
-        f.block = i.target0;
-        f.index = 0;
-        info.kind = CommitKind::Branch;
-        sink.onCommit(info);
-        break;
-      case Op::CondBr:
-        f.block = f.regs[i.a] != 0 ? i.target0 : i.target1;
-        f.index = 0;
-        info.kind = CommitKind::Branch;
-        sink.onCommit(info);
-        break;
       case Op::Ret: {
         Word value = i.a == ir::kNoReg ? 0 : f.regs[i.a];
         ir::Reg dst = f.returnDst;
@@ -276,24 +296,38 @@ Interpreter::step(CommitSink &sink)
         info.storeValue = f.regs[i.a];
         sink.onCommit(info);
         break;
-      case Op::Nop:
-        ++f.index;
-        info.kind = CommitKind::Alu;
-        sink.onCommit(info);
-        break;
       default:
-        if (ir::isBinaryAlu(i.op)) {
-            Word b = i.bIsImm ? static_cast<Word>(i.imm) : f.regs[i.b];
-            f.regs[i.dst] = aluOp(i.op, f.regs[i.a], b);
-            ++f.index;
-            info.kind = CommitKind::Alu;
-            sink.onCommit(info);
-        } else {
-            cwsp_panic("unhandled opcode in interpreter");
-        }
-        break;
+        cwsp_panic("unhandled opcode in interpreter");
     }
     return finished_ ? StepResult::Finished : StepResult::Ok;
+}
+
+std::uint64_t
+Interpreter::runBatch(std::uint64_t limit)
+{
+    if (finished_)
+        return 0;
+    // The control position and the block's code live in locals: the
+    // loop stores only to the register file.
+    Frame &f = frames_.back();
+    const ir::Function &func = module_->function(f.func);
+    Word *const regs = f.regs.data();
+    ir::BlockId block = f.block;
+    std::uint32_t index = f.index;
+    const ir::Instr *instrs = code(f);
+    std::uint64_t n = 0;
+    for (; n < limit; ++n) {
+        const RegisterStep rs =
+            executeRegisterOnly(instrs[index], regs, block, index);
+        if (rs == RegisterStep::None)
+            break;
+        if (rs == RegisterStep::Branch)
+            instrs = func.block(block).instrs().data();
+    }
+    f.block = block;
+    f.index = index;
+    committed_ += n;
+    return n;
 }
 
 ControlSnapshot
@@ -383,6 +417,9 @@ runToCompletion(const ir::Module &module, SparseMemory &memory,
     Interpreter interp(module, memory, 0);
     interp.start(entry, args, to);
     while (!interp.finished()) {
+        // An atomic's fused step may commit past the budget.
+        if (!sink && interp.committed() < max_instrs)
+            interp.runBatch(max_instrs - interp.committed());
         if (interp.committed() >= max_instrs)
             cwsp_fatal("instruction budget exceeded in ", entry);
         interp.step(to);

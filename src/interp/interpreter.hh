@@ -16,8 +16,45 @@
 #include "interp/commit.hh"
 #include "interp/machine_state.hh"
 #include "ir/ir.hh"
+#include "sim/logging.hh"
 
 namespace cwsp::interp {
+
+/**
+ * The ALU semantics, defined once: the value binary ALU opcode @p op
+ * (Add..CmpSlt) computes from operand @p a (register a) and @p b
+ * (register b, or the immediate). The interpreter's step() and
+ * runBatch() pass each opcode as a constant, so this switch folds
+ * into their dispatch; the recovery slice's Apply evaluates through
+ * it too.
+ */
+[[gnu::always_inline]] inline Word
+aluValue(ir::Opcode op, Word a, Word b)
+{
+    using Op = ir::Opcode;
+    switch (op) {
+      case Op::Add: return a + b;
+      case Op::Sub: return a - b;
+      case Op::Mul: return a * b;
+      case Op::DivU: return b == 0 ? 0 : a / b;
+      case Op::RemU: return b == 0 ? a : a % b;
+      case Op::And: return a & b;
+      case Op::Or: return a | b;
+      case Op::Xor: return a ^ b;
+      case Op::Shl: return a << (b & 63);
+      case Op::Shr: return a >> (b & 63);
+      case Op::CmpEq: return a == b ? 1 : 0;
+      case Op::CmpNe: return a != b ? 1 : 0;
+      case Op::CmpUlt: return a < b ? 1 : 0;
+      case Op::CmpSlt:
+        return static_cast<std::int64_t>(a) <
+                       static_cast<std::int64_t>(b)
+                   ? 1
+                   : 0;
+      default:
+        cwsp_panic("aluValue on non-ALU opcode ", ir::opcodeName(op));
+    }
+}
 
 /** Outcome of one interpreter step. */
 enum class StepResult : std::uint8_t {
@@ -25,7 +62,17 @@ enum class StepResult : std::uint8_t {
     Finished, ///< main returned
 };
 
-/** One hardware thread executing the module's code. */
+/**
+ * One hardware thread executing the module's code.
+ *
+ * step() executes any instruction and reports each of its commits to
+ * a sink; it is the reference every faster loop is held to. A caller
+ * whose sink ignores register-only commits (the timing scheme, the
+ * commit-stream recorder, the I/O collectors, a sink-less functional
+ * run) calls runBatch() before each step(): it executes the next run
+ * of single-cycle register-only instructions with no sink at all, and
+ * the caller accounts the whole run at once.
+ */
 class Interpreter
 {
   public:
@@ -43,6 +90,16 @@ class Interpreter
 
     /** Execute the next instruction. */
     StepResult step(CommitSink &sink);
+
+    /**
+     * Execute up to @p limit consecutive single-cycle register-only
+     * instructions — MovImm, Mov, Nop, the binary ALU ops, Br and
+     * CondBr — without calling any sink, and return how many ran
+     * (0 when the next instruction is anything else, or after main
+     * returned). Each one is a whole step() that would commit one Alu
+     * or Branch event and nothing else; committed() counts them.
+     */
+    std::uint64_t runBatch(std::uint64_t limit);
 
     bool finished() const { return finished_; }
     Word returnValue() const { return returnValue_; }
@@ -120,8 +177,27 @@ class Interpreter
     Word returnValue_ = 0;
     std::uint64_t committed_ = 0;
 
-    /** Pointer to the instruction the top frame will execute next. */
-    const ir::Instr &fetch() const;
+    /**
+     * The instructions of @p frame's current block: the one fetch
+     * step() and runBatch() share (runBatch holds it in a local and
+     * refetches only on a branch).
+     */
+    const ir::Instr *
+    code(const Frame &frame) const
+    {
+        return module_->function(frame.func)
+            .block(frame.block)
+            .instrs()
+            .data();
+    }
+
+    /** The instruction the top frame will execute next. */
+    const ir::Instr &
+    fetch() const
+    {
+        const Frame &f = frames_.back();
+        return code(f)[f.index];
+    }
 
     void doStore(Addr addr, Word value, bool is_ckpt, CommitSink &sink,
                  CommitInfo &info);
@@ -130,7 +206,8 @@ class Interpreter
 /**
  * Convenience: run @p entry to completion functionally (no timing),
  * with an instruction cap to catch runaway programs. @p sink, when
- * given, observes every commit (a NullCommitSink otherwise).
+ * given, observes every commit, one step at a time; without one, no
+ * commit is observed and register-only runs execute as batches.
  *
  * @return main's return value.
  */

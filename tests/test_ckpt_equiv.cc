@@ -162,46 +162,59 @@ statsJson(core::WholeSystemSim &sim)
 }
 
 /**
- * Every (app, scheme) pair: capture a checkpoint at mid-run, then
+ * The all-apps sweep, one case per scheme: tests/CMakeLists.txt
+ * registers each as its own ctest entry, so `ctest -j` runs the
+ * schemes side by side.
+ */
+class CkptEquivSweep : public ::testing::TestWithParam<std::string>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryScheme, CkptEquivSweep, ::testing::ValuesIn(kSchemes),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+/**
+ * Every app under the scheme: capture a checkpoint at mid-run, then
  * run the crash case forked and from scratch and compare everything
  * bit-for-bit. The capture pass's RunResult must equal the golden
  * (uninterrupted) run, so the capture doubles as the golden pass of
  * a sweep.
  */
-TEST(CkptEquiv, AllAppsAllSchemesForkedIdentical)
+TEST_P(CkptEquivSweep, AllAppsForkedIdentical)
 {
+    const std::string &scheme = GetParam();
     std::vector<core::ThreadSpec> threads(1);
     for (const auto &app : workloads::appTable()) {
-        for (const auto &scheme : kSchemes) {
-            SCOPED_TRACE(app.name + "/" + scheme);
-            auto cfg = core::makeSystemConfig(scheme);
-            auto mod = workloads::buildApp(app, cfg.compiler);
-            auto stream = core::recordCommitStream(*mod, "main", {});
+        SCOPED_TRACE(app.name + "/" + scheme);
+        auto cfg = core::makeSystemConfig(scheme);
+        auto mod = workloads::buildApp(app, cfg.compiler);
+        auto stream = core::recordCommitStream(*mod, "main", {});
 
-            core::WholeSystemSim probe(*mod, cfg);
-            core::RunResult golden = probe.runReplay(stream);
-            const Tick tick = golden.cycles / 2;
+        core::WholeSystemSim probe(*mod, cfg);
+        core::RunResult golden = probe.runReplay(stream);
+        const Tick tick = golden.cycles / 2;
 
-            core::WholeSystemSim capture(*mod, cfg);
-            auto cr = capture.captureCheckpoints(
-                threads, {tick}, 200'000'000, &stream);
-            ASSERT_EQ(cr.checkpoints.size(), 1u);
-            expectSameResult(golden, cr.result);
+        core::WholeSystemSim capture(*mod, cfg);
+        auto cr = capture.captureCheckpoints(threads, {tick}, 200'000'000,
+                                             &stream);
+        ASSERT_EQ(cr.checkpoints.size(), 1u);
+        expectSameResult(golden, cr.result);
 
-            fault::CrashSchedule schedule{tick};
-            core::WholeSystemSim scratch(*mod, cfg);
-            auto ref = scratch.runWithCrashes(threads, schedule, {},
-                                              200'000'000, &stream);
-            std::string refJson = statsJson(scratch);
+        fault::CrashSchedule schedule{tick};
+        core::WholeSystemSim scratch(*mod, cfg);
+        auto ref = scratch.runWithCrashes(threads, schedule, {},
+                                          200'000'000, &stream);
+        std::string refJson = statsJson(scratch);
 
-            core::WholeSystemSim forked(*mod, cfg);
-            auto got = forked.runWithCrashes(
-                threads, schedule, {}, 200'000'000, &stream,
-                cr.checkpoints[0].get());
-            expectSameCrashResult(ref, got);
-            EXPECT_EQ(refJson, statsJson(forked));
-            EXPECT_EQ(got.source, core::ExecSource::Fork);
-        }
+        core::WholeSystemSim forked(*mod, cfg);
+        auto got = forked.runWithCrashes(threads, schedule, {}, 200'000'000,
+                                         &stream, cr.checkpoints[0].get());
+        expectSameCrashResult(ref, got);
+        EXPECT_EQ(refJson, statsJson(forked));
+        EXPECT_EQ(got.source, core::ExecSource::Fork);
     }
 }
 

@@ -74,29 +74,43 @@ statsJson(core::WholeSystemSim &sim)
 }
 
 /**
- * Every (app, scheme) pair: interpret once, replay the recorded
+ * The all-apps sweeps, one case per scheme: tests/CMakeLists.txt
+ * registers each as its own ctest entry, so `ctest -j` runs the
+ * schemes side by side.
+ */
+class ReplayEquivSweep : public ::testing::TestWithParam<std::string>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryScheme, ReplayEquivSweep, ::testing::ValuesIn(kSchemes),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+/**
+ * Every app under the scheme: interpret once, replay the recorded
  * stream once, and compare results and statistics bit-for-bit. The
  * stream is recorded per pair because the compiled module depends on
  * the scheme's compiler options.
  */
-TEST(ReplayEquiv, AllAppsAllSchemes)
+TEST_P(ReplayEquivSweep, AllApps)
 {
+    const std::string &scheme = GetParam();
     for (const auto &app : workloads::appTable()) {
-        for (const auto &scheme : kSchemes) {
-            SCOPED_TRACE(app.name + "/" + scheme);
-            auto cfg = core::makeSystemConfig(scheme);
-            auto mod = workloads::buildApp(app, cfg.compiler);
-            auto stream = core::recordCommitStream(*mod, "main", {});
+        SCOPED_TRACE(app.name + "/" + scheme);
+        auto cfg = core::makeSystemConfig(scheme);
+        auto mod = workloads::buildApp(app, cfg.compiler);
+        auto stream = core::recordCommitStream(*mod, "main", {});
 
-            core::WholeSystemSim interp(*mod, cfg);
-            core::RunResult ref = interp.run("main");
-            std::string refJson = statsJson(interp);
+        core::WholeSystemSim interp(*mod, cfg);
+        core::RunResult ref = interp.run("main");
+        std::string refJson = statsJson(interp);
 
-            core::WholeSystemSim replay(*mod, cfg);
-            core::RunResult got = replay.runReplay(stream);
-            expectSameResult(ref, got);
-            EXPECT_EQ(refJson, statsJson(replay));
-        }
+        core::WholeSystemSim replay(*mod, cfg);
+        core::RunResult got = replay.runReplay(stream);
+        expectSameResult(ref, got);
+        EXPECT_EQ(refJson, statsJson(replay));
     }
 }
 
@@ -277,45 +291,43 @@ expectReplayMatches(const ir::Module &mod, const core::SystemConfig &cfg,
 }
 
 /**
- * Both outcome sources, for every (app, scheme) pair: a stream
+ * Both outcome sources, for every app under the scheme: a stream
  * recorded for the scheme's own tag geometry replays its cache
  * outcomes, one recorded for another geometry (default against psp's)
  * walks the tags live. Each must match interpretation in the
  * RunResult, the stats JSON, the trace stream, and a crash run.
  */
-TEST(ReplayEquiv, BothOutcomeSourcesAllAppsAllSchemes)
+TEST_P(ReplayEquivSweep, BothOutcomeSources)
 {
+    const std::string &scheme = GetParam();
     for (const auto &app : workloads::appTable()) {
-        for (const auto &scheme : kSchemes) {
-            SCOPED_TRACE(app.name + "/" + scheme);
-            auto cfg = core::makeSystemConfig(scheme);
-            auto mod = workloads::buildApp(app, cfg.compiler);
-            auto own =
-                core::recordCommitStream(*mod, "main", {}, cfg.hierarchy);
-            auto other = core::recordCommitStream(*mod, "main", {},
-                                                  otherGeometry(cfg));
-            ASSERT_EQ(own.geometry, mem::tagGeometryKey(cfg.hierarchy));
-            ASSERT_NE(own.geometry, other.geometry);
+        SCOPED_TRACE(app.name + "/" + scheme);
+        auto cfg = core::makeSystemConfig(scheme);
+        auto mod = workloads::buildApp(app, cfg.compiler);
+        auto own =
+            core::recordCommitStream(*mod, "main", {}, cfg.hierarchy);
+        auto other = core::recordCommitStream(*mod, "main", {},
+                                              otherGeometry(cfg));
+        ASSERT_EQ(own.geometry, mem::tagGeometryKey(cfg.hierarchy));
+        ASSERT_NE(own.geometry, other.geometry);
 
-            DigestSink refTrace;
-            core::WholeSystemSim interp(*mod, cfg);
-            interp.attachTraceSink(&refTrace);
-            core::RunResult ref = interp.run("main");
-            const std::string refJson = statsJson(interp);
+        DigestSink refTrace;
+        core::WholeSystemSim interp(*mod, cfg);
+        interp.attachTraceSink(&refTrace);
+        core::RunResult ref = interp.run("main");
+        const std::string refJson = statsJson(interp);
 
-            const Tick crash = ref.cycles / 2;
-            core::WholeSystemSim interpCrash(*mod, cfg);
-            auto refCrash = interpCrash.runWithCrashes(
-                {core::ThreadSpec{}}, fault::CrashSchedule{crash});
-            const std::string refCrashJson = statsJson(interpCrash);
+        const Tick crash = ref.cycles / 2;
+        core::WholeSystemSim interpCrash(*mod, cfg);
+        auto refCrash = interpCrash.runWithCrashes(
+            {core::ThreadSpec{}}, fault::CrashSchedule{crash});
+        const std::string refCrashJson = statsJson(interpCrash);
 
-            for (const core::CommitStream *stream : {&own, &other}) {
-                SCOPED_TRACE(stream == &own ? "own geometry"
-                                            : "other geometry");
-                expectReplayMatches(*mod, cfg, *stream, ref, refJson,
-                                    refTrace, crash, refCrash,
-                                    refCrashJson);
-            }
+        for (const core::CommitStream *stream : {&own, &other}) {
+            SCOPED_TRACE(stream == &own ? "own geometry"
+                                        : "other geometry");
+            expectReplayMatches(*mod, cfg, *stream, ref, refJson,
+                                refTrace, crash, refCrash, refCrashJson);
         }
     }
 }

@@ -53,9 +53,17 @@ for san in "${SANITIZERS[@]}"; do
     # banner instead of disappearing into the suite summary.
     "$dir"/tests/test_replay_equiv --gtest_filter=\
 'ReplayEquiv.TraceStreamsIdentical:ReplayEquiv.CrashSweepIdentical:'\
-'ReplayEquiv.BothOutcomeSourcesAllAppsAllSchemes:'\
+'EveryScheme/ReplayEquivSweep.BothOutcomeSources/*:'\
 'ReplayEquiv.OutcomesOfEveryFigureGeometry:'\
 'ReplayEquiv.CapriCrashesContinueTheStream'
+    echo "== $san: batched-interpretation smoke =="
+    # Runs of register-only instructions execute as one batch in the
+    # timed driver, the stream recorder and sink-less functional runs.
+    # Every case holds a batched path to single-stepping: functional
+    # state on every app and profile, a per-step copy of the min-clock
+    # scheduler (single-core and multicore, sampler attached), and the
+    # recorded stream decoded step by step.
+    "$dir"/tests/test_batch_equiv
     echo "== $san: invariant smoke (every scheme) =="
     # Online protocol checking over a small batch: attaches the
     # obs::InvariantMonitor to each simulation and fails on any

@@ -14,20 +14,17 @@
  * divergences and no silently-corrupting media fault).
  */
 
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "fault/campaign.hh"
 #include "sim/stats.hh"
 
@@ -82,28 +79,6 @@ arg(int argc, char **argv, int &i)
     return argv[++i];
 }
 
-constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
-constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
-
-/**
- * Strictly parse the value @p v of @p flag as a decimal integer in
- * [1, @p max]: digits only (no sign, space, base prefix or suffix),
- * no overflow. Otherwise name the flag on stderr and return nothing.
- */
-std::optional<std::uint64_t>
-parsePositive(const std::string &flag, const char *v, std::uint64_t max)
-{
-    std::uint64_t n = 0;
-    const char *end = v + std::strlen(v);
-    auto [ptr, ec] = std::from_chars(v, end, n);
-    if (ec != std::errc{} || ptr != end || n == 0 || n > max) {
-        std::fprintf(stderr, "%s expects an integer in 1..%llu, got '%s'\n",
-                     flag.c_str(), (unsigned long long)max, v);
-        return std::nullopt;
-    }
-    return n;
-}
-
 std::vector<std::string>
 splitList(const std::string &csv)
 {
@@ -131,7 +106,8 @@ runMain(int argc, char **argv)
         } else if (a == "--schemes") {
             opt.schemes = splitList(arg(argc, argv, i));
         } else if (a == "--points") {
-            auto n = parsePositive(a, arg(argc, argv, i), kMaxU32);
+            auto n = cli::parsePositive(a, arg(argc, argv, i),
+                                        cli::kMaxU32);
             if (!n)
                 return 2;
             opt.pointsPerKind = static_cast<std::size_t>(*n);
@@ -146,19 +122,22 @@ runMain(int argc, char **argv)
         } else if (a == "--no-fork") {
             opt.forkCheckpoints = false;
         } else if (a == "--seed") {
-            auto n = parsePositive(a, arg(argc, argv, i), kMaxU64);
+            auto n = cli::parsePositive(a, arg(argc, argv, i),
+                                        cli::kMaxU64);
             if (!n)
                 return 2;
             opt.interleaveSeed = *n;
         } else if (a == "--schedules") {
-            auto n = parsePositive(a, arg(argc, argv, i), kMaxU32);
+            auto n = cli::parsePositive(a, arg(argc, argv, i),
+                                        cli::kMaxU32);
             if (!n)
                 return 2;
             opt.numSchedules = static_cast<std::uint32_t>(*n);
         } else if (a == "--seed-cas-bug") {
             opt.seedCasBug = true;
         } else if (a == "--jobs") {
-            auto n = parsePositive(a, arg(argc, argv, i), kMaxU32);
+            auto n = cli::parsePositive(a, arg(argc, argv, i),
+                                        cli::kMaxU32);
             if (!n)
                 return 2;
             opt.jobs = static_cast<unsigned>(*n);

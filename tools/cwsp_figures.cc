@@ -12,16 +12,14 @@
  * An unknown flag or a malformed value exits 2 naming the flag.
  */
 
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <thread>
 
+#include "cli_args.hh"
 #include "figures.hh"
 
 using namespace cwsp;
@@ -89,19 +87,10 @@ runMain(int argc, char **argv)
                 return 2;
             }
             if (flag == "--jobs") {
-                constexpr unsigned kMax =
-                    std::numeric_limits<unsigned>::max();
-                unsigned n = 0;
-                const char *end = v + std::strlen(v);
-                auto [ptr, ec] = std::from_chars(v, end, n);
-                if (ec != std::errc{} || ptr != end || n == 0) {
-                    std::fprintf(stderr,
-                                 "cwsp_figures: --jobs expects an "
-                                 "integer in 1..%u, got '%s'\n",
-                                 kMax, v);
+                auto n = cli::parsePositive(flag, v, cli::kMaxU32);
+                if (!n)
                     return 2;
-                }
-                bc.jobs = n;
+                bc.jobs = static_cast<unsigned>(*n);
             } else if (flag == "--cache-dir") {
                 bc.cacheDir = v;
             } else if (flag == "--stats-json") {

@@ -27,9 +27,12 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "cli_args.hh"
 #include "core/consistency_checker.hh"
 #include "core/sim_checkpoint.hh"
 #include "core/whole_system_sim.hh"
@@ -101,8 +104,20 @@ usage()
         "                         Series land in --stats-json"
         " (time_series) and as\n"
         "                         counter tracks in --trace-out\n"
-        "  --dump-ir              print the compiled IR and exit\n");
+        "  --dump-ir              print the compiled IR and exit\n"
+        "N is decimal digits only: --rbt, --pb and --wpq take 1..1048576,"
+        " --jobs and\n"
+        "--crash-sweep 1..4294967295, :N 0..4294967295, --sample-period"
+        " 0..2^64-1;\n"
+        "GB is a positive finite number. Any other value exits 2 naming"
+        " the flag.\n");
 }
+
+/**
+ * Largest --rbt, --pb and --wpq: their rings are sized and allocated
+ * up front from the entry count.
+ */
+constexpr std::uint64_t kMaxEntries = std::uint64_t{1} << 20;
 
 const char *
 arg(int argc, char **argv, int &i)
@@ -221,10 +236,12 @@ runMain(int argc, char **argv)
     unsigned rbt = 16, pb = 50, wpq = 24;
     unsigned jobs = 0;
     double crash_frac = -1.0;
-    int crash_sweep = 0;
+    std::size_t crash_sweep = 0;
     bool fork_sweep = true;
-    std::string crash_at_event;
-    long sample_period = -1; ///< -1 = sampling off; 0 = default
+    std::optional<fault::CrashPointKind> crash_kind;
+    std::string crash_kind_name;
+    std::size_t crash_index = 0;
+    std::optional<Tick> sample_period; ///< none: off; 0: default
     bool stats = false, dump_ir = false, use_cache = true;
 
     for (int i = 1; i < argc; ++i) {
@@ -248,18 +265,23 @@ runMain(int argc, char **argv)
         } else if (a == "--nvm") {
             nvm = arg(argc, argv, i);
         } else if (a == "--bw") {
-            bw = std::atof(arg(argc, argv, i));
-        } else if (a == "--rbt") {
-            rbt = static_cast<unsigned>(
-                std::atoi(arg(argc, argv, i)));
-        } else if (a == "--pb") {
-            pb = static_cast<unsigned>(std::atoi(arg(argc, argv, i)));
-        } else if (a == "--wpq") {
-            wpq = static_cast<unsigned>(
-                std::atoi(arg(argc, argv, i)));
+            auto v = cli::parsePositiveReal(a, arg(argc, argv, i));
+            if (!v)
+                return 2;
+            bw = *v;
+        } else if (a == "--rbt" || a == "--pb" || a == "--wpq") {
+            unsigned &entries = a == "--rbt" ? rbt : a == "--pb" ? pb : wpq;
+            auto n = cli::parsePositive(a, arg(argc, argv, i),
+                                        kMaxEntries);
+            if (!n)
+                return 2;
+            entries = static_cast<unsigned>(*n);
         } else if (a == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::atoi(arg(argc, argv, i)));
+            auto n = cli::parsePositive(a, arg(argc, argv, i),
+                                        cli::kMaxU32);
+            if (!n)
+                return 2;
+            jobs = static_cast<unsigned>(*n);
         } else if (a == "--cache-dir") {
             cache_dir = arg(argc, argv, i);
         } else if (a == "--no-cache") {
@@ -278,17 +300,31 @@ runMain(int argc, char **argv)
                 return 2;
             }
         } else if (a == "--crash-sweep") {
-            const char *v = arg(argc, argv, i);
-            crash_sweep = std::atoi(v);
-            if (crash_sweep <= 0) {
-                std::fprintf(stderr,
-                             "--crash-sweep expects a positive point "
-                             "count, got '%s'\n",
-                             v);
+            auto n = cli::parsePositive(a, arg(argc, argv, i),
+                                        cli::kMaxU32);
+            if (!n)
+                return 2;
+            crash_sweep = static_cast<std::size_t>(*n);
+        } else if (a == "--crash-at-event") {
+            // KIND or KIND:N, N counting from 0.
+            const std::string v = arg(argc, argv, i);
+            const auto colon = v.find(':');
+            crash_kind_name = v.substr(0, colon);
+            fault::CrashPointKind kind;
+            std::optional<std::uint64_t> n = 0;
+            if (colon != std::string::npos) {
+                n = cli::toInteger(std::string_view(v).substr(colon + 1),
+                                   0, cli::kMaxU32);
+            }
+            if (!fault::parseCrashPointKind(crash_kind_name, kind) || !n) {
+                cli::reject(a,
+                            "KIND[:N] with KIND a crash-point kind and N " +
+                                cli::integerIn(0, cli::kMaxU32),
+                            v);
                 return 2;
             }
-        } else if (a == "--crash-at-event") {
-            crash_at_event = arg(argc, argv, i);
+            crash_kind = kind;
+            crash_index = static_cast<std::size_t>(*n);
         } else if (a == "--no-fork") {
             fork_sweep = false;
         } else if (a == "--stats") {
@@ -300,15 +336,10 @@ runMain(int argc, char **argv)
         } else if (a == "--trace-mask") {
             trace_mask = arg(argc, argv, i);
         } else if (a == "--sample-period") {
-            const char *v = arg(argc, argv, i);
-            sample_period = std::atol(v);
-            if (sample_period < 0) {
-                std::fprintf(stderr,
-                             "--sample-period expects a non-negative "
-                             "cycle count, got '%s'\n",
-                             v);
+            sample_period = cli::parseInteger(a, arg(argc, argv, i), 0,
+                                              cli::kMaxU64);
+            if (!sample_period)
                 return 2;
-            }
         } else if (a == "--dump-ir") {
             dump_ir = true;
         } else {
@@ -356,9 +387,8 @@ runMain(int argc, char **argv)
     // (the baseline/scheme pair in parallel, both persistently
     // cached); --stats, --stats-json, --trace-out and --crash need
     // the live simulator state and take the direct path below.
-    if (!stats && crash_frac < 0.0 && crash_sweep == 0 &&
-        crash_at_event.empty() && stats_json.empty() &&
-        trace_out.empty() && sample_period < 0) {
+    if (!stats && crash_frac < 0.0 && crash_sweep == 0 && !crash_kind &&
+        stats_json.empty() && trace_out.empty() && !sample_period) {
         driver::BatchConfig bc;
         bc.jobs = jobs;
         bc.useDiskCache = use_cache;
@@ -405,9 +435,9 @@ runMain(int argc, char **argv)
     // scheduled tick boundaries, so the series is identical however
     // the run is driven (interpreted, replayed, or forked).
     sim::CounterSampler sampler(
-        sample_period > 0 ? static_cast<Tick>(sample_period)
-                          : core::defaultSamplePeriod(cfg));
-    const bool sampling = sample_period >= 0;
+        sample_period.value_or(0) > 0 ? *sample_period
+                                      : core::defaultSamplePeriod(cfg));
+    const bool sampling = sample_period.has_value();
     if (sampling)
         sim.attachSampler(&sampler);
     auto r = sim.run("main");
@@ -434,7 +464,7 @@ runMain(int argc, char **argv)
         });
     }
 
-    if (crash_sweep > 0 || !crash_at_event.empty()) {
+    if (crash_sweep > 0 || crash_kind) {
         // One budget for every pass of the sweep: preparation, capture
         // and each point's crash run.
         constexpr std::uint64_t kSweepMaxInstrs = 200'000'000;
@@ -443,44 +473,27 @@ runMain(int argc, char **argv)
         // golden facts; replaying it yields the crash points; and every
         // sweep point replays its pristine epochs from it instead of
         // re-interpreting the prefix.
-        const fault::GoldenRun golden = fault::prepareGoldenRun(
-            *mod, cfg,
-            crash_sweep > 0 ? static_cast<std::size_t>(crash_sweep) : 0,
-            kSweepMaxInstrs);
+        const fault::GoldenRun golden =
+            fault::prepareGoldenRun(*mod, cfg, crash_sweep, kSweepMaxInstrs);
         const fault::CrashPointSet &set = golden.points;
 
         std::vector<fault::CrashPoint> chosen;
-        if (!crash_at_event.empty()) {
-            std::string kind_name = crash_at_event;
-            std::size_t idx = 0;
-            auto colon = kind_name.find(':');
-            if (colon != std::string::npos) {
-                idx = static_cast<std::size_t>(
-                    std::atoi(kind_name.c_str() + colon + 1));
-                kind_name = kind_name.substr(0, colon);
-            }
-            fault::CrashPointKind kind;
-            if (!fault::parseCrashPointKind(kind_name, kind)) {
-                std::fprintf(stderr,
-                             "unknown crash-point kind '%s'\n",
-                             kind_name.c_str());
-                return 2;
-            }
+        if (crash_kind) {
             std::vector<fault::CrashPoint> of_kind;
             for (const auto &p : set.points)
-                if (p.kind == kind)
+                if (p.kind == *crash_kind)
                     of_kind.push_back(p);
-            if (idx >= of_kind.size()) {
+            if (crash_index >= of_kind.size()) {
                 std::fprintf(stderr,
                              "only %zu %s point(s) in this run\n",
-                             of_kind.size(), kind_name.c_str());
+                             of_kind.size(), crash_kind_name.c_str());
                 return 2;
             }
-            chosen.push_back(of_kind[idx]);
+            chosen.push_back(of_kind[crash_index]);
         } else {
             chosen = set.points;
             // Evenly subsample the merged list down to N points.
-            auto want = static_cast<std::size_t>(crash_sweep);
+            const std::size_t want = crash_sweep;
             if (chosen.size() > want) {
                 std::vector<fault::CrashPoint> picked;
                 for (std::size_t i = 0; i < want; ++i) {
